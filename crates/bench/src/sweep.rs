@@ -77,9 +77,8 @@ pub struct SweepPoint {
     /// [`Arc`](std::sync::Arc)-backed buffer).
     pub trace: CapturedTrace,
     /// The trace's pre-decoded form, which the point runners actually
-    /// replay. Compiled once per capture — `CapturedTrace::compile` is
-    /// memoized, so every point sharing a capture shares one table —
-    /// and a cheap `Arc`-backed clone per point.
+    /// replay: a view sharing the capture's table and record buffer,
+    /// so every point sharing a capture shares one copy of each.
     pub compiled: CompiledTrace,
     /// Timing-model configuration.
     pub cfg: SimConfig,

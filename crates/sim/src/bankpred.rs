@@ -126,6 +126,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "4-bit history field")]
     fn oversized_banks_are_rejected_in_debug() {
         let mut p = predictor();

@@ -1,25 +1,26 @@
-//! Compiled trace replay: per-slot pre-decoded micro-ops, stripped
-//! dynamic records, and a basic-block index for batched fetch.
+//! Compiled trace replay: the captured records decoded through the
+//! per-slot static micro-op table, with no per-record re-decoding.
 //!
-//! [`TraceReplay`](crate::TraceReplay) recovers the static
-//! [`Inst`] via `program.fetch(pc)` on every
-//! dynamic record, and the simulator's dispatch stage used to re-derive
-//! the op class, source/destination registers, and domain per
-//! instruction — all of which are static per PC. A [`CompiledTrace`]
-//! hoists that work out of the replay hot loop entirely:
+//! [`TraceReplay`](crate::TraceReplay) hands out [`DynInst`](clustered_emu::DynInst)s
+//! carrying the static [`Inst`](clustered_isa::Inst), from which the
+//! simulator's dispatch stage would re-derive the op class,
+//! source/destination registers, and domain per instruction — all of
+//! which are static per PC. A [`CompiledTrace`] serves
+//! [`DecodedInst`]s straight from the capture's two shared buffers:
 //!
 //! 1. **Static micro-op table** — one `StaticOp` per program slot
 //!    holding the decoded facts (class, sources, dest, the static
-//!    memory shape, the control-transfer kind), built once per program.
+//!    memory shape, the control-transfer kind), built once per capture.
 //!    The class doubles as the steering hint: the issue-queue domain
 //!    and functional-unit group are pure functions of it.
-//! 2. **Stripped dynamic records** — 24 bytes per dynamic instruction
-//!    carrying only the truly dynamic bits (effective address, branch
-//!    taken + next PC) plus the slot index into the table.
-//! 3. **Basic-block index** — [`BlockSpan`]s derived from the branch
-//!    records, partitioning the dynamic stream so
-//!    [`CompiledReplay::next_run`] serves whole blocks per call: one
-//!    bounds decision per block instead of per-instruction matching.
+//! 2. **Dynamic records** — the capture's own 16-byte records (PC,
+//!    effective address or next PC, taken bit); the PC indexes the
+//!    table.
+//!
+//! Compiling builds nothing: [`CapturedTrace::compile`] clones the two
+//! `Arc`s. [`CompiledReplay::next_run`] ends a run after the first
+//! record whose table entry is a control transfer, so the fetch stage
+//! still gets whole basic blocks per call.
 //!
 //! The decoded stream is bit-identical to [`TraceReplay`](crate::TraceReplay) and to live
 //! emulation (pinned by the tests here and by
@@ -27,124 +28,36 @@
 //! oracle — which fixes the *schedule*, a function of the decoded
 //! stream alone — applies to the compiled path unchanged.
 
-use crate::capture::{CapturedTrace, PackedInst, BRANCH_BIT, TAKEN_BIT};
-use clustered_emu::{BranchKind, BranchOutcome, DecodedInst, MemAccess, TraceSource};
-use clustered_isa::{ArchReg, Inst, OpClass};
+use crate::capture::{CapturedTrace, Record, StaticOp};
+use clustered_emu::{DecodedInst, TraceSource};
 use std::sync::Arc;
 
-/// The decoded static facts of one program slot: everything the
-/// pipeline needs that does not change between dynamic visits.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct StaticOp {
-    class: OpClass,
-    srcs: [Option<ArchReg>; 2],
-    dest: Option<ArchReg>,
-    /// Memory shape `(size, is_store)` — the address is dynamic.
-    mem: Option<(u8, bool)>,
-    /// Control-transfer kind — taken/next-PC are dynamic.
-    branch: Option<BranchKind>,
-}
-
-impl StaticOp {
-    /// Decodes one static instruction. The memory shape and branch
-    /// kind mirror the emulator exactly: access size and direction are
-    /// fixed per opcode (8 bytes for FP), and each control-transfer
-    /// opcode maps to one [`BranchKind`].
-    fn decode(inst: &Inst) -> StaticOp {
-        let mem = match inst {
-            Inst::Load { width, .. } => Some((width.bytes() as u8, false)),
-            Inst::Store { width, .. } => Some((width.bytes() as u8, true)),
-            Inst::FpLoad { .. } => Some((8, false)),
-            Inst::FpStore { .. } => Some((8, true)),
-            _ => None,
-        };
-        let branch = match inst {
-            Inst::Branch { .. } => Some(BranchKind::Conditional),
-            Inst::Jump { .. } => Some(BranchKind::Jump),
-            Inst::JumpReg { .. } => Some(BranchKind::Indirect),
-            Inst::Call { .. } => Some(BranchKind::Call),
-            Inst::CallReg { .. } => Some(BranchKind::IndirectCall),
-            Inst::Ret => Some(BranchKind::Return),
-            _ => None,
-        };
-        StaticOp {
-            class: inst.op_class(),
-            srcs: inst.sources(),
-            dest: inst.dest(),
-            mem,
-            branch,
-        }
-    }
-}
-
-/// One dynamic record, stripped to the truly dynamic bits and a slot
-/// reference into the static table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CompiledRecord {
-    /// Effective address (memory instructions; 0 otherwise).
-    addr: u64,
-    /// Index into the static micro-op table — also the fetch PC.
-    slot: u32,
-    /// Control transfers: the next fetch PC.
-    next_pc: u32,
-    /// Control transfers: whether the branch was taken.
-    taken: bool,
-}
-
-/// One basic block of the dynamic stream: a maximal run of records in
-/// which only the last may be a control transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockSpan {
-    /// Index of the block's first dynamic record.
-    pub start: u64,
-    /// Number of records in the block (always ≥ 1).
-    pub len: u64,
-}
-
-/// A [`CapturedTrace`] compiled ahead of time:
-/// pre-decoded micro-ops, stripped dynamic records, and a basic-block
-/// index. Built with [`CapturedTrace::compile`], which memoizes the
-/// result per capture; cloning (and [`CompiledTrace::replay`]) only
-/// bumps three reference counts, so sweep workers share one table.
+/// The pre-decoded view of a [`CapturedTrace`], made by
+/// [`CapturedTrace::compile`]. It shares the capture's static table and
+/// record buffer, so cloning it (and [`CompiledTrace::replay`]) only
+/// bumps reference counts and sweep workers share one copy.
 #[derive(Debug, Clone)]
 pub struct CompiledTrace {
     name: String,
     table: Arc<[StaticOp]>,
-    records: Arc<[CompiledRecord]>,
-    blocks: Arc<[BlockSpan]>,
+    records: Arc<Vec<Record>>,
     ended_at_halt: bool,
 }
 
-impl CompiledTrace {
-    /// Compiles `trace`: decodes the program text into the static
-    /// table, strips the packed records to their dynamic bits, and
-    /// derives the block index from the branch records.
-    pub(crate) fn build(trace: &CapturedTrace) -> CompiledTrace {
-        let table: Vec<StaticOp> = trace.program.text().iter().map(StaticOp::decode).collect();
-        let mut records = Vec::with_capacity(trace.records.len());
-        let mut blocks = Vec::new();
-        let mut start = 0u64;
-        for (i, p) in trace.records.iter().enumerate() {
-            records.push(compile_record(p, table.len()));
-            if p.flags & BRANCH_BIT != 0 {
-                blocks.push(BlockSpan { start, len: i as u64 + 1 - start });
-                start = i as u64 + 1;
-            }
-        }
-        // A trailing branch-free run (capture window ended mid-block)
-        // forms the final block, so the spans partition the records.
-        if start < records.len() as u64 {
-            blocks.push(BlockSpan { start, len: records.len() as u64 - start });
-        }
+impl CapturedTrace {
+    /// The pre-decoded view of this capture (see [`CompiledTrace`]):
+    /// two `Arc` clones, no copying and no decoding.
+    pub fn compile(&self) -> CompiledTrace {
         CompiledTrace {
-            name: trace.name.clone(),
-            table: table.into(),
-            records: records.into(),
-            blocks: blocks.into(),
-            ended_at_halt: trace.ended_at_halt,
+            name: self.name.clone(),
+            table: Arc::clone(&self.table),
+            records: Arc::clone(&self.records),
+            ended_at_halt: self.ended_at_halt,
         }
     }
+}
 
+impl CompiledTrace {
     /// The compiled workload's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -177,60 +90,36 @@ impl CompiledTrace {
         self.table.len() * std::mem::size_of::<StaticOp>()
     }
 
-    /// Number of basic blocks in the dynamic stream.
+    /// Number of basic blocks in the dynamic stream — maximal runs in
+    /// which only the last record may be a control transfer, plus a
+    /// branch-free tail — counted in one scan. With an unbounded
+    /// budget, [`CompiledReplay::next_run`] returns exactly this many
+    /// runs.
     pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// The basic-block index. Invariants (pinned by tests): spans are
-    /// contiguous from record 0, lengths are non-zero, they sum to
-    /// [`len`](CompiledTrace::len), and every span ends at a control
-    /// transfer or the trace tail.
-    pub fn blocks(&self) -> &[BlockSpan] {
-        &self.blocks
+        let is_branch = |r: &Record| self.table[r.pc as usize].branch.is_some();
+        let ends = self.records.iter().filter(|r| is_branch(r)).count();
+        ends + usize::from(self.records.last().is_some_and(|r| !is_branch(r)))
     }
 
     /// A fresh pre-decoded replay over the compiled stream. Cheap:
-    /// clones three `Arc`s.
+    /// clones two `Arc`s.
     pub fn replay(&self) -> CompiledReplay {
         CompiledReplay {
             table: Arc::clone(&self.table),
             records: Arc::clone(&self.records),
-            blocks: Arc::clone(&self.blocks),
             pos: 0,
-            block: 0,
         }
     }
 }
 
-/// Strips one packed record to its dynamic bits, validating the slot
-/// against the table (mirrors `unpack`'s out-of-text panic).
-fn compile_record(p: &PackedInst, table_len: usize) -> CompiledRecord {
-    assert!(
-        (p.pc as usize) < table_len,
-        "captured pc {} outside program text",
-        p.pc
-    );
-    CompiledRecord {
-        addr: p.addr,
-        slot: p.pc,
-        next_pc: p.next_pc,
-        taken: p.flags & TAKEN_BIT != 0,
-    }
-}
-
 /// A cheap cloneable [`TraceSource`] replaying a [`CompiledTrace`]:
-/// each record is assembled from the static table and the stripped
-/// dynamic bits — no `Program` lookup, no per-record re-decoding — and
-/// `next_run` serves whole basic blocks via the block index.
+/// each record is assembled from the static table and its dynamic bits
+/// — no `Program` lookup, no per-record re-decoding.
 #[derive(Debug, Clone)]
 pub struct CompiledReplay {
     table: Arc<[StaticOp]>,
-    records: Arc<[CompiledRecord]>,
-    blocks: Arc<[BlockSpan]>,
+    records: Arc<Vec<Record>>,
     pos: usize,
-    /// Index of the block containing `pos` (`blocks.len()` at the end).
-    block: usize,
 }
 
 impl CompiledReplay {
@@ -238,71 +127,43 @@ impl CompiledReplay {
     pub fn remaining(&self) -> usize {
         self.records.len() - self.pos
     }
+}
 
-    fn decode(&self, i: usize) -> DecodedInst {
-        let r = self.records[i];
-        let op = self.table[r.slot as usize];
-        DecodedInst {
-            seq: i as u64,
-            pc: r.slot,
-            class: op.class,
-            srcs: op.srcs,
-            dest: op.dest,
-            mem: op.mem.map(|(size, is_store)| MemAccess { addr: r.addr, size, is_store }),
-            branch: op.branch.map(|kind| BranchOutcome { kind, taken: r.taken, next_pc: r.next_pc }),
-        }
-    }
-
-    /// End position (exclusive) of the block containing `pos`.
-    fn block_end(&self) -> usize {
-        let b = self.blocks[self.block];
-        (b.start + b.len) as usize
+fn decode(table: &[StaticOp], seq: usize, r: &Record) -> DecodedInst {
+    let op = &table[r.pc as usize];
+    DecodedInst {
+        seq: seq as u64,
+        pc: r.pc,
+        class: op.class,
+        srcs: op.srcs,
+        dest: op.dest,
+        mem: r.mem(op),
+        branch: r.branch(op),
     }
 }
 
 impl TraceSource for CompiledReplay {
     fn next_decoded(&mut self) -> Option<DecodedInst> {
-        if self.pos >= self.records.len() {
-            return None;
-        }
-        let d = self.decode(self.pos);
+        let d = decode(&self.table, self.pos, self.records.get(self.pos)?);
         self.pos += 1;
-        if self.pos >= self.block_end() {
-            self.block += 1;
-        }
         Some(d)
     }
 
+    /// Serves up to `max` records from one slice, stopping after the
+    /// first control transfer: one bounds check per run.
     fn next_run(&mut self, max: usize, out: &mut Vec<DecodedInst>) -> usize {
-        if max == 0 || self.pos >= self.records.len() {
-            return 0;
-        }
-        let end = self.block_end();
-        // One decision per call: serve the rest of the current block,
-        // capped by the caller's budget. Decoding iterates one record
-        // slice — a single bounds check for the whole run.
-        let take = (end - self.pos).min(max);
         let base = self.pos;
-        let table = &self.table;
-        out.extend(self.records[base..base + take].iter().enumerate().map(|(k, r)| {
-            let op = table[r.slot as usize];
-            DecodedInst {
-                seq: (base + k) as u64,
-                pc: r.slot,
-                class: op.class,
-                srcs: op.srcs,
-                dest: op.dest,
-                mem: op.mem.map(|(size, is_store)| MemAccess { addr: r.addr, size, is_store }),
-                branch: op
-                    .branch
-                    .map(|kind| BranchOutcome { kind, taken: r.taken, next_pc: r.next_pc }),
+        let end = self.records.len().min(base.saturating_add(max));
+        for (k, r) in self.records[base..end].iter().enumerate() {
+            let d = decode(&self.table, base + k, r);
+            out.push(d);
+            if d.branch.is_some() {
+                self.pos = base + k + 1;
+                return k + 1;
             }
-        }));
-        self.pos += take;
-        if self.pos == end {
-            self.block += 1;
         }
-        take
+        self.pos = end;
+        end - base
     }
 }
 
@@ -335,49 +196,22 @@ mod tests {
         }
     }
 
+    /// Compiling copies nothing: the capture, its clones, and every
+    /// compiled view share one record buffer and one table.
     #[test]
-    fn compile_is_memoized_and_shared_across_clones() {
+    fn compile_shares_the_capture_buffers() {
         let w = by_name("gzip").unwrap();
         let captured = CapturedTrace::capture(&w, 1_000);
         let a = captured.compile();
         let b = captured.clone().compile();
-        assert!(Arc::ptr_eq(&a.table, &b.table), "clones must share one compiled table");
-        assert!(Arc::ptr_eq(&a.records, &b.records));
-    }
-
-    #[test]
-    fn block_index_partitions_the_record_range() {
-        for name in ["gzip", "mgrid"] {
-            let compiled = CapturedTrace::capture(&by_name(name).unwrap(), 5_000).compile();
-            let mut next_start = 0u64;
-            for b in compiled.blocks() {
-                assert_eq!(b.start, next_start, "{name}: gap or overlap in block index");
-                assert!(b.len > 0);
-                next_start += b.len;
-            }
-            assert_eq!(next_start, compiled.len() as u64, "{name}: blocks must cover the range");
-        }
-    }
-
-    #[test]
-    fn every_block_ends_at_a_branch_or_the_trace_tail() {
-        let compiled = CapturedTrace::capture(&by_name("gzip").unwrap(), 5_000).compile();
-        let stream = drain(compiled.replay());
-        for b in compiled.blocks() {
-            let last = (b.start + b.len - 1) as usize;
-            for d in &stream[b.start as usize..last] {
-                assert!(d.branch.is_none(), "control transfer inside block body");
-            }
-            assert!(
-                stream[last].branch.is_some() || last + 1 == stream.len(),
-                "block must end at a branch or the trace tail"
-            );
-        }
+        assert!(Arc::ptr_eq(&a.records, &captured.records), "compile must not copy records");
+        assert!(Arc::ptr_eq(&a.records, &b.records), "clones must share one record buffer");
+        assert!(Arc::ptr_eq(&a.table, &b.table), "clones must share one table");
     }
 
     /// `next_run` respects the caller's budget mid-block and resumes
-    /// where it stopped, and mixed `next_decoded`/`next_run` calls keep
-    /// the block cursor consistent.
+    /// where it stopped, and mixed `next_decoded`/`next_run` calls
+    /// stitch into the whole stream.
     #[test]
     fn next_run_budget_and_mixed_stepping() {
         let compiled = CapturedTrace::capture(&by_name("gzip").unwrap(), 2_000).compile();

@@ -41,7 +41,7 @@ pub mod synthetic;
 pub mod tracefile;
 
 pub use capture::{CapturedTrace, TraceReplay, CAPTURE_MARGIN};
-pub use compiled::{BlockSpan, CompiledReplay, CompiledTrace};
+pub use compiled::{CompiledReplay, CompiledTrace};
 pub use profile::{PaperProfile, WorkloadClass};
 pub use tracefile::{capture_cached, capture_for_window_cached, env_cache_dir, TraceFileError};
 

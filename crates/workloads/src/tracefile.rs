@@ -31,10 +31,14 @@
 //! validated end to end: [`CapturedTrace::load`] returns a
 //! [`TraceFileError`] for bad magic, unsupported versions or flags,
 //! truncated sections, checksum mismatches, malformed records, record
-//! PCs outside the program text, and records whose flag words disagree
+//! PCs outside the program text, records whose flag words disagree
 //! with the static instruction at their PC (a store with no address, a
-//! phantom branch) — never a panic. Corruption-matrix tests flip and
-//! truncate every section to pin this down; the class check is what
+//! phantom branch), and records carrying a field their flags do not
+//! call for (an address on an ALU op) — never a panic. Every accepted
+//! record re-encodes to exactly its file bytes, so a loaded trace's
+//! [`CapturedTrace::checksum`] covers what the file says.
+//! Corruption-matrix tests flip and truncate every section to pin
+//! this down; the class check is what
 //! lets the timing pipeline treat "memref without an address" as
 //! unreachable-from-file-input rather than a latent panic.
 //!
@@ -48,8 +52,9 @@
 //! the *current* workload (name, program text, window) so an outdated
 //! kernel never silently replays the wrong stream.
 
-use crate::capture::{PackedInst, FLAGS_MASK};
+use crate::capture::{Record, StaticOp};
 use crate::{CapturedTrace, Workload, CAPTURE_MARGIN};
+use clustered_emu::BranchKind;
 use clustered_isa::{assemble, disassemble};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -72,8 +77,17 @@ const KNOWN_FLAGS: u32 = FLAG_ENDED_AT_HALT;
 /// Fixed-size header length in bytes.
 const HEADER_LEN: usize = 32;
 
-/// On-disk size of one packed record.
+/// On-disk size of one record.
 const RECORD_LEN: usize = 18;
+
+// The record flag word. Every bit but `TAKEN_BIT` is a function of the
+// static instruction at the record's PC.
+const MEM_BIT: u16 = 1 << 0;
+const STORE_BIT: u16 = 1 << 1;
+const SIZE_SHIFT: u16 = 2; // two bits: 0 → 1 byte, 1 → 4, 2 → 8
+const BRANCH_BIT: u16 = 1 << 4;
+const KIND_SHIFT: u16 = 5; // three bits, `kind_code` order
+const TAKEN_BIT: u16 = 1 << 8;
 
 /// Trailing checksum length in bytes.
 const TRAILER_LEN: usize = 8;
@@ -132,7 +146,9 @@ pub enum TraceFileError {
         /// Length of the reconstructed text segment.
         text_len: usize,
     },
-    /// A record carries flag bits the encoder never emits.
+    /// A record carries something the encoder never writes: unknown
+    /// flag bits, an address without a memory access, or a next PC or
+    /// taken bit without a control transfer.
     InvalidRecord {
         /// Index of the offending record.
         index: u64,
@@ -186,7 +202,7 @@ impl fmt::Display for TraceFileError {
                 )
             }
             TraceFileError::InvalidRecord { index, flags } => {
-                write!(f, "record {index} has malformed flags {flags:#06x}")
+                write!(f, "record {index} (flags {flags:#06x}) carries a field the encoder never writes")
             }
             TraceFileError::RecordClassMismatch { index, pc, detail } => {
                 write!(f, "record {index} (pc {pc}): {detail}")
@@ -204,15 +220,92 @@ impl std::error::Error for TraceFileError {
     }
 }
 
-/// FNV-1a 64-bit over `bytes` — dependency-free whole-file integrity
-/// check (this is corruption detection, not cryptography).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+/// FNV-1a 64-bit offset basis: the hash of no bytes.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a 64-bit `hash` — dependency-free
+/// integrity check (this is corruption detection, not cryptography).
+pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x100_0000_01b3);
     }
     hash
+}
+
+fn kind_code(kind: BranchKind) -> u16 {
+    match kind {
+        BranchKind::Conditional => 0,
+        BranchKind::Jump => 1,
+        BranchKind::Indirect => 2,
+        BranchKind::Call => 3,
+        BranchKind::IndirectCall => 4,
+        BranchKind::Return => 5,
+    }
+}
+
+/// The flag bits the static instruction fixes: everything but
+/// `TAKEN_BIT`.
+fn static_flags(op: &StaticOp) -> u16 {
+    let mem = op.mem.map_or(0, |(size, is_store)| {
+        // Access sizes are 1, 4 or 8 bytes.
+        let size_code = match size {
+            1 => 0,
+            4 => 1,
+            _ => 2,
+        };
+        MEM_BIT | size_code << SIZE_SHIFT | if is_store { STORE_BIT } else { 0 }
+    });
+    let branch = op.branch.map_or(0, |kind| BRANCH_BIT | kind_code(kind) << KIND_SHIFT);
+    mem | branch
+}
+
+/// One record in the file layout (`addr`, `pc`, `next_pc`, `flags`),
+/// rebuilt from the compact record and its slot's static op. The
+/// record section of [`CapturedTrace::to_bytes`] and
+/// [`CapturedTrace::checksum`] both hash exactly these bytes.
+pub(crate) fn encode_record(r: &Record, op: &StaticOp) -> [u8; RECORD_LEN] {
+    let addr = r.mem(op).map_or(0, |m| m.addr);
+    let (next_pc, taken) = r.branch(op).map_or((0, false), |b| (b.next_pc, b.taken));
+    let flags = static_flags(op) | if taken { TAKEN_BIT } else { 0 };
+    let mut out = [0; RECORD_LEN];
+    out[..8].copy_from_slice(&addr.to_le_bytes());
+    out[8..12].copy_from_slice(&r.pc.to_le_bytes());
+    out[12..16].copy_from_slice(&next_pc.to_le_bytes());
+    out[16..].copy_from_slice(&flags.to_le_bytes());
+    out
+}
+
+/// What a record's flag word gets wrong about the static instruction at
+/// its PC, if anything: the emulator emits a memory access exactly for
+/// loads and stores (with the matching direction and width) and a
+/// branch outcome exactly for control transfers (with the kind the
+/// opcode implies). Replaying a mismatched record would hand the timing
+/// model impossible state — e.g. a store with no address.
+fn class_mismatch(op: &StaticOp, flags: u16) -> Option<&'static str> {
+    let diff = flags ^ static_flags(op);
+    let (is_mem, is_branch) = (op.mem.is_some(), op.branch.is_some());
+    if diff & MEM_BIT != 0 {
+        Some(if is_mem {
+            "a load/store instruction without a memory record"
+        } else {
+            "a memory record on a non-memref instruction"
+        })
+    } else if is_mem && diff & STORE_BIT != 0 {
+        Some("record store direction disagrees with the instruction")
+    } else if is_mem && diff & (0b11 << SIZE_SHIFT) != 0 {
+        Some("record access size disagrees with the instruction")
+    } else if diff & BRANCH_BIT != 0 {
+        Some(if is_branch {
+            "a control transfer without a branch record"
+        } else {
+            "a branch record on a non-control instruction"
+        })
+    } else if is_branch && diff & (0b111 << KIND_SHIFT) != 0 {
+        Some("record branch kind disagrees with the instruction")
+    } else {
+        None
+    }
 }
 
 fn push_u32(out: &mut Vec<u8>, v: u32) {
@@ -259,12 +352,9 @@ impl CapturedTrace {
         out.extend_from_slice(name);
         out.extend_from_slice(text_src.as_bytes());
         for r in self.records.iter() {
-            push_u64(&mut out, r.addr);
-            push_u32(&mut out, r.pc);
-            push_u32(&mut out, r.next_pc);
-            out.extend_from_slice(&r.flags.to_le_bytes());
+            out.extend_from_slice(&encode_record(r, &self.table[r.pc as usize]));
         }
-        let checksum = fnv1a(&out);
+        let checksum = fnv1a(FNV_OFFSET, &out);
         push_u64(&mut out, checksum);
         out
     }
@@ -333,7 +423,7 @@ impl CapturedTrace {
 
         let records_end = records_end as usize;
         let expected = read_u64(bytes, records_end);
-        let found = fnv1a(&bytes[..records_end]);
+        let found = fnv1a(FNV_OFFSET, &bytes[..records_end]);
         if expected != found {
             return Err(TraceFileError::ChecksumMismatch { expected, found });
         }
@@ -347,43 +437,46 @@ impl CapturedTrace {
             .map_err(|_| TraceFileError::BadUtf8 { section: "program text" })?;
         let program =
             assemble(text_src).map_err(|e| TraceFileError::BadProgramText(e.to_string()))?;
-        let text_len = program.text().len();
+        let table = StaticOp::table(&program);
 
         let mut records = Vec::with_capacity(record_count as usize);
-        for index in 0..record_count {
-            let at = text_end + index as usize * RECORD_LEN;
-            let record = PackedInst {
-                addr: read_u64(bytes, at),
-                pc: read_u32(bytes, at + 8),
-                next_pc: read_u32(bytes, at + 12),
-                flags: read_u16(bytes, at + 16),
+        for (index, raw) in bytes[text_end..records_end].chunks_exact(RECORD_LEN).enumerate() {
+            let index = index as u64;
+            let pc = read_u32(raw, 8);
+            let flags = read_u16(raw, 16);
+            let Some(op) = table.get(pc as usize) else {
+                return Err(TraceFileError::RecordPcOutOfText { index, pc, text_len: table.len() });
             };
-            if record.flags & !FLAGS_MASK != 0 {
-                return Err(TraceFileError::InvalidRecord { index, flags: record.flags });
-            }
-            if record.pc as usize >= text_len {
-                return Err(TraceFileError::RecordPcOutOfText { index, pc: record.pc, text_len });
-            }
             // The flag word must agree with the static instruction the
             // PC names: the timing pipeline relies on every load/store
             // carrying an address (and nothing else carrying one), so a
             // mismatched record is rejected here instead of surfacing
             // as corrupt simulator state mid-run.
-            if let Err(detail) =
-                crate::capture::record_flags_match(&program.text()[record.pc as usize], record.flags)
-            {
-                return Err(TraceFileError::RecordClassMismatch { index, pc: record.pc, detail });
+            if let Some(detail) = class_mismatch(op, flags) {
+                return Err(TraceFileError::RecordClassMismatch { index, pc, detail });
+            }
+            let record = Record {
+                payload: if op.mem.is_some() { read_u64(raw, 0) } else { read_u32(raw, 12) as u64 },
+                pc,
+                taken: flags & TAKEN_BIT != 0,
+            };
+            // Anything the compact record cannot hold (unknown flag
+            // bits, a stray address, next PC or taken bit) is something
+            // the encoder never writes; rejecting it keeps the checksum
+            // of a loaded trace equal to what its file says.
+            if encode_record(&record, op) != raw {
+                return Err(TraceFileError::InvalidRecord { index, flags });
             }
             records.push(record);
         }
 
-        Ok(CapturedTrace {
+        Ok(CapturedTrace::from_parts(
             name,
-            program: Arc::new(program),
-            records: records.into(),
-            ended_at_halt: flags & FLAG_ENDED_AT_HALT != 0,
-            compiled: Arc::new(std::sync::OnceLock::new()),
-        })
+            Arc::new(program),
+            table,
+            records,
+            flags & FLAG_ENDED_AT_HALT != 0,
+        ))
     }
 
     /// Writes this capture to `path` in the `.ctrace` format.
@@ -520,7 +613,7 @@ mod tests {
     /// checks past the checksum can be exercised in isolation.
     fn fix_checksum(bytes: &mut [u8]) {
         let body = bytes.len() - TRAILER_LEN;
-        let sum = fnv1a(&bytes[..body]);
+        let sum = fnv1a(FNV_OFFSET, &bytes[..body]);
         bytes[body..].copy_from_slice(&sum.to_le_bytes());
     }
 
@@ -540,6 +633,34 @@ mod tests {
             let live: Vec<DynInst> = w.trace().take(5_000).map(Result::unwrap).collect();
             let replayed: Vec<DynInst> = loaded.replay().collect();
             assert_eq!(live, replayed, "{name}: loaded replay diverged from live emulation");
+        }
+    }
+
+    /// The file format is pinned byte for byte: these lengths and
+    /// whole-file checksums (the trailer) were produced by the encoder
+    /// of the earlier 24-byte in-memory record, so files written by
+    /// either version load in the other.
+    #[test]
+    fn file_bytes_match_the_previous_writer() {
+        let tiny = tiny_bytes();
+        assert_eq!((tiny.len(), read_u64(&tiny, tiny.len() - 8)), (825, 0x5dc3_bd85_204c_d1c8));
+        let gzip = CapturedTrace::capture(&by_name("gzip").unwrap(), 5_000).to_bytes();
+        assert_eq!((gzip.len(), read_u64(&gzip, gzip.len() - 8)), (90_863, 0x36dc_7f1b_5b1d_73d2));
+    }
+
+    /// The trace checksum is FNV-1a over exactly the record section of
+    /// the file, for captured and loaded traces alike.
+    #[test]
+    fn checksum_is_the_hash_of_the_record_section() {
+        for trace in [
+            CapturedTrace::capture(&tiny_workload(), 1_000),
+            CapturedTrace::capture(&by_name("crafty").unwrap(), 3_000),
+        ] {
+            let bytes = trace.to_bytes();
+            let records = bytes.len() - TRAILER_LEN - trace.len() * RECORD_LEN;
+            let section = fnv1a(FNV_OFFSET, &bytes[records..bytes.len() - TRAILER_LEN]);
+            assert_eq!(trace.checksum(), section, "{}", trace.name());
+            assert_eq!(CapturedTrace::from_bytes(&bytes).unwrap().checksum(), section);
         }
     }
 
@@ -664,14 +785,29 @@ mod tests {
             Err(TraceFileError::RecordPcOutOfText { index: 0, pc: u32::MAX, .. })
         ));
 
-        // A record flag word with bits the encoder never writes.
-        let mut bad = good.clone();
-        bad[first_record + 17] = 0xff;
-        fix_checksum(&mut bad);
-        assert!(matches!(
-            CapturedTrace::from_bytes(&bad),
-            Err(TraceFileError::InvalidRecord { index: 0, .. })
-        ));
+        // Fields the encoder never writes, each on record 0 (`la`, an
+        // ALU op): unknown flag bits, an address without MEM_BIT, a next
+        // PC without BRANCH_BIT, and TAKEN_BIT without BRANCH_BIT.
+        assert_eq!(read_u16(&good, first_record + 16) & (MEM_BIT | BRANCH_BIT), 0);
+        let stray: [(usize, &[u8]); 4] = [
+            (17, &[0xff]),
+            (0, &[1]),
+            (12, &[1]),
+            (17, &[(TAKEN_BIT >> 8) as u8]),
+        ];
+        for (offset, patch) in stray {
+            let mut bad = good.clone();
+            let at = first_record + offset;
+            bad[at..at + patch.len()].copy_from_slice(patch);
+            fix_checksum(&mut bad);
+            assert!(
+                matches!(
+                    CapturedTrace::from_bytes(&bad),
+                    Err(TraceFileError::InvalidRecord { index: 0, .. })
+                ),
+                "stray byte at record offset {offset}"
+            );
+        }
 
         // Program text replaced with garbage of the same length.
         let mut bad = good.clone();
@@ -700,7 +836,6 @@ mod tests {
     /// instead of surfacing as corrupt pipeline state mid-simulation.
     #[test]
     fn record_class_mismatches_yield_typed_errors() {
-        use crate::capture::{BRANCH_BIT, KIND_SHIFT, MEM_BIT, SIZE_SHIFT, STORE_BIT};
         let good = tiny_bytes();
         let name_len = read_u32(&good, 24) as usize;
         let text_len = read_u32(&good, 28) as usize;

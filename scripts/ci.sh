@@ -160,4 +160,14 @@ else
     echo "clippy not installed; skipping lint step" >&2
 fi
 
+echo "==> benchmark package (separate workspace)"
+# benchmark/ is a Cargo workspace of its own that compiles against the
+# public API of crates/*, so the workspace steps above never build it.
+cargo test --release --quiet --manifest-path benchmark/Cargo.toml
+if cargo clippy --version >/dev/null 2>&1; then
+    cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+else
+    echo "clippy not installed; skipping benchmark lint step" >&2
+fi
+
 echo "CI gate passed."

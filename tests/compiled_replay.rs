@@ -1,8 +1,8 @@
-//! Compiled-replay equivalence suite: a [`CompiledTrace`] is a pure
-//! re-encoding of a [`CapturedTrace`], so its decoded stream must be
+//! Compiled-replay equivalence suite: a [`CompiledTrace`] is a
+//! pre-decoded view of a [`CapturedTrace`], so its decoded stream must be
 //! bit-identical to decode-on-the-fly replay and to live emulation for
-//! every kernel, its block index must exactly partition the record
-//! range, and a simulator fed the compiled form must compute the same
+//! every kernel, its runs must honour the `TraceSource` run contract,
+//! and a simulator fed the compiled form must compute the same
 //! statistics as one fed the plain replay.
 //!
 //! Together with `tests/shard_equivalence.rs` (whose oracle pins the
@@ -39,33 +39,47 @@ fn compiled_stream_matches_replay_and_live_for_all_nine_kernels() {
     }
 }
 
-/// Block-index invariants, for all nine kernels: spans partition the
-/// record range (contiguous from 0, non-empty, summing to the length),
-/// block bodies are branch-free, and every block ends at a control
-/// transfer or the trace tail.
+/// The run contract, for all nine kernels at fetch budgets 1..=8:
+/// `next_run` output stitched together is the plain replay stream,
+/// every run body is branch-free, and every run ends at a control
+/// transfer, at the budget, or at the trace tail. With an unbounded
+/// budget the runs are exactly the basic blocks `block_count` counts.
 #[test]
-fn block_index_invariants_hold_for_all_nine_kernels() {
+fn next_run_honours_the_run_contract_for_all_nine_kernels() {
     for w in clustered_workloads::all() {
-        let compiled = CapturedTrace::capture(&w, RECORDS).compile();
-        let stream = drain(compiled.replay());
-        let mut next_start = 0u64;
-        for b in compiled.blocks() {
-            assert_eq!(b.start, next_start, "{}: block index has a gap or overlap", w.name());
-            assert!(b.len > 0, "{}: empty block", w.name());
-            next_start += b.len;
-            let last = (b.start + b.len - 1) as usize;
-            for d in &stream[b.start as usize..last] {
-                assert!(d.branch.is_none(), "{}: control transfer inside a block body", w.name());
-            }
-            assert!(
-                stream[last].branch.is_some() || last + 1 == stream.len(),
-                "{}: block ends at neither a branch nor the trace tail",
-                w.name()
-            );
-        }
-        assert_eq!(next_start, compiled.len() as u64, "{}: blocks must cover the range", w.name());
-        assert_eq!(compiled.block_count(), compiled.blocks().len());
+        let captured = CapturedTrace::capture(&w, RECORDS);
+        let compiled = captured.compile();
+        let plain = drain(captured.replay());
         assert_eq!(compiled.table_len(), w.program().text().len());
+        for budget in (1..=8).chain([usize::MAX]) {
+            let mut src = compiled.replay();
+            let (mut stitched, mut run, mut runs) = (Vec::new(), Vec::new(), 0);
+            loop {
+                run.clear();
+                let n = src.next_run(budget, &mut run);
+                assert_eq!(n, run.len());
+                if n == 0 {
+                    break;
+                }
+                runs += 1;
+                let (tail, body) = run.split_last().unwrap();
+                assert!(
+                    body.iter().all(|d| d.branch.is_none()),
+                    "{} budget {budget}: control transfer inside a run body",
+                    w.name()
+                );
+                assert!(
+                    tail.branch.is_some() || n == budget || src.remaining() == 0,
+                    "{} budget {budget}: run ends at neither a branch, the budget nor the tail",
+                    w.name()
+                );
+                stitched.extend_from_slice(&run);
+            }
+            assert_eq!(stitched, plain, "{} budget {budget}: runs diverged from replay", w.name());
+            if budget == usize::MAX {
+                assert_eq!(runs, compiled.block_count(), "{}: block count", w.name());
+            }
+        }
     }
 }
 
