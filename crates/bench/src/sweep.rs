@@ -438,23 +438,6 @@ impl SweepOutcome for RunWithDecisions {
     }
 }
 
-/// Caps the sweep worker count so `workers × max_intra` (sweep threads
-/// times the widest point's intra-run pool) never exceeds the host's
-/// available cores. Returns the effective worker count and whether a
-/// cap was applied. Never returns zero workers: a single point wider
-/// than the machine still runs, just one at a time.
-fn cap_for_oversubscription(
-    workers: usize,
-    max_intra: usize,
-    available: usize,
-) -> (usize, bool) {
-    let max_intra = max_intra.max(1);
-    if workers.saturating_mul(max_intra) <= available {
-        return (workers, false);
-    }
-    ((available / max_intra).max(1), true)
-}
-
 /// Runs every point on the calling thread, in order.
 pub fn run_sweep_serial(points: &[SweepPoint]) -> Vec<SimStats> {
     run_sweep_with(points, 1, run_point)
@@ -497,27 +480,8 @@ where
     F: Fn(&SweepPoint) -> R + Sync,
 {
     let n = points.len();
-    // Points may themselves fan out (`SimConfig::intra_jobs` drives an
-    // intra-run thread pool), so the product of sweep workers and the
-    // widest point must not oversubscribe the host.
-    let max_intra = points.iter().map(|p| p.cfg.intra_jobs.max(1)).max().unwrap_or(1);
-    let available =
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-    let (workers, capped) = cap_for_oversubscription(jobs.min(n).max(1), max_intra, available);
+    let workers = jobs.min(n).max(1);
     let mut sink = ProgressSink::new(n, workers);
-    if capped {
-        eprintln!(
-            "clustered-sweep: capping workers to {workers} \
-             ({max_intra} intra-run threads per point, {available} cores available)"
-        );
-        sink.emit(
-            clustered_stats::Json::object()
-                .set("event", "oversubscription_warning")
-                .set("workers", workers)
-                .set("intra_jobs", max_intra)
-                .set("available_cores", available),
-        );
-    }
     if workers <= 1 {
         let mut out = Vec::with_capacity(n);
         for (i, point) in points.iter().enumerate() {
@@ -581,18 +545,6 @@ mod tests {
         assert!(!progress_enabled_from(Some("true")));
         assert!(!progress_enabled_from(Some("progress.jsonl")), "jsonl selects the stream mode");
         assert!(!progress_enabled_from(None));
-    }
-
-    #[test]
-    fn oversubscription_cap_bounds_workers_times_intra() {
-        // Sequential points (intra 1): no cap until workers exceed cores.
-        assert_eq!(cap_for_oversubscription(8, 1, 8), (8, false));
-        // 8 workers × 4 intra threads on 8 cores → 2 workers.
-        assert_eq!(cap_for_oversubscription(8, 4, 8), (2, true));
-        // A point wider than the machine still gets one worker.
-        assert_eq!(cap_for_oversubscription(4, 16, 8), (1, true));
-        // Zero-width guard: intra is clamped to at least 1.
-        assert_eq!(cap_for_oversubscription(4, 0, 2), (2, true));
     }
 
     #[test]

@@ -461,7 +461,6 @@ mod tests {
                 queued_mask: 0b111,
                 active_clusters: 4,
                 configured_clusters: 16,
-                intra_threads: 0,
             });
         }
         p

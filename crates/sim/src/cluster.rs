@@ -132,9 +132,8 @@ const RING_WORDS: usize = RING_WINDOW / 64;
 pub struct Cluster {
     /// Issue-queue capacity per domain. (Occupancy and free-register
     /// counts live in the per-cluster `ClusterDomain` beside this
-    /// scheduler — the domain owns all of one cluster's mutable state
-    /// so the intra-run pool can hand whole domains to workers; the
-    /// dispatch stage gathers its dense steering snapshot from the
+    /// scheduler — the domain owns all of one cluster's mutable state;
+    /// the dispatch stage gathers its dense steering snapshot from the
     /// domains per instruction.)
     pub iq_cap: [usize; 2],
     /// Busy-until cycle per functional unit, grouped.

@@ -302,14 +302,6 @@ pub struct SimConfig {
     pub cache: CacheParams,
     /// Functional-unit latencies.
     pub exec: ExecLatencies,
-    /// Host threads for intra-run parallelism (the `--intra-jobs`
-    /// flag): `0` — the default — runs the sequential oracle loop;
-    /// `n >= 1` runs the batched drain/issue path with `min(n,
-    /// clusters)` threads. A *host execution* knob, not a simulated
-    /// parameter: every value computes the bit-identical schedule
-    /// (pinned by `tests/parallel_equivalence.rs`), so it is excluded
-    /// from [`SimConfig::digest`].
-    pub intra_jobs: usize,
 }
 
 impl SimConfig {
@@ -341,8 +333,9 @@ impl SimConfig {
     /// Returns a [`ConfigError`] naming the violated constraint:
     /// cluster count must be in `1..=MAX_CLUSTERS` — and a power of two
     /// when the decentralized cache (whose word interleaving masks
-    /// addresses) or the grid topology is used — and all widths/sizes
-    /// must be non-zero.
+    /// addresses) or the grid topology is used — all widths/sizes
+    /// must be non-zero, and each cluster's register files must exceed
+    /// the architectural registers homed there.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let c = &self.clusters;
         // The bank predictor packs each trained bank into a 4-bit
@@ -377,6 +370,20 @@ impl SimConfig {
         }
         if c.int_alu == 0 || c.fp_alu == 0 || c.int_muldiv == 0 || c.fp_muldiv == 0 {
             return Err(ConfigError("per-cluster FU counts must be non-zero".into()));
+        }
+        // Architectural registers are homed round-robin across the
+        // clusters, so the busiest cluster holds `ceil(32 / count)` of
+        // each register domain and needs at least one more physical
+        // register to rename into.
+        let homed_int = clustered_isa::NUM_INT_REGS.div_ceil(c.count);
+        let homed_fp = clustered_isa::NUM_FP_REGS.div_ceil(c.count);
+        if c.int_regs <= homed_int || c.fp_regs <= homed_fp {
+            return Err(ConfigError(format!(
+                "per-cluster register files ({} integer, {} FP) must exceed the {homed_int} \
+                 integer and {homed_fp} FP architectural registers homed on a cluster when \
+                 there are {} clusters",
+                c.int_regs, c.fp_regs, c.count
+            )));
         }
         let f = &self.frontend;
         if f.fetch_width == 0 || f.dispatch_width == 0 || f.commit_width == 0 {
@@ -418,13 +425,7 @@ impl SimConfig {
             interconnect,
             cache,
             exec,
-            intra_jobs,
         } = self;
-        // Deliberately not digested: intra-run threading is a host
-        // execution strategy and the schedule is thread-count
-        // invariant, so runs at different `--intra-jobs` stay
-        // comparable under one digest.
-        let _ = intra_jobs;
         let ClusterParams {
             count,
             int_regs,
@@ -650,17 +651,27 @@ mod tests {
         assert!(cfg.validate().is_err());
     }
 
-    /// `intra_jobs` is a host-execution knob: the schedule is
-    /// thread-count invariant, so runs at different settings must stay
-    /// comparable under one provenance digest.
+    /// One cluster homes all 32 registers of each domain, so the
+    /// default 30-register files cannot hold the architectural state:
+    /// a typed error, not a panic when the processor is built.
     #[test]
-    fn intra_jobs_is_a_host_knob_and_does_not_move_the_digest() {
-        let base = SimConfig::default();
-        assert_eq!(base.intra_jobs, 0, "the sequential oracle is the default");
-        let mut threaded = base;
-        threaded.intra_jobs = 4;
-        assert_eq!(base.digest(), threaded.digest());
-        assert!(threaded.validate().is_ok());
+    fn validation_rejects_register_files_smaller_than_the_homed_state() {
+        let mut cfg = SimConfig::default();
+        cfg.clusters.count = 1;
+        let err = cfg.validate().unwrap_err().to_string();
+        assert!(err.contains("architectural registers"), "got: {err}");
+        cfg.clusters.count = 2;
+        assert!(cfg.validate().is_ok(), "16 homed registers fit in 30");
+        cfg.clusters.fp_regs = 16;
+        assert!(cfg.validate().is_err(), "the FP file needs a spare register too");
+        assert!(SimConfig::monolithic().validate().is_ok());
+
+        let mut cfg = SimConfig::default();
+        cfg.clusters.count = 1;
+        let program = clustered_isa::assemble("halt").expect("assembles");
+        let stream = clustered_emu::trace(program).map(Result::unwrap);
+        let built = crate::Processor::new(cfg, stream, Box::new(crate::FixedPolicy::new(1)));
+        assert!(matches!(built, Err(crate::SimError::Config(_))));
     }
 
     /// The provenance contract: the digest is a pure function of the

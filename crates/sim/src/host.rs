@@ -10,20 +10,18 @@
 //! health and per-cluster load skew every cycle.
 //!
 //! The gate is compile-time, in the `WANTS_DECISIONS` style: the
-//! processor consults
+//! processor's one cycle loop consults
 //! [`SimObserver::WANTS_HOST_PROFILE`](crate::SimObserver::WANTS_HOST_PROFILE)
-//! — a `const` — to pick between the unmodified cycle loop and the
-//! instrumented one, so a profiler-off build (the default
-//! [`NullObserver`](crate::NullObserver)) monomorphizes to exactly the
-//! code that existed before this module did. Profiling changes *no*
-//! simulated behaviour either way: the hooks only read machine state,
-//! and the bit-identical-stats tests pin it.
+//! — a `const` — before every clock read and health sample, so a
+//! profiler-off build (the default [`NullObserver`](crate::NullObserver))
+//! monomorphizes to the plain loop. Profiling changes *no* simulated
+//! behaviour either way: the hooks only read machine state, and the
+//! bit-identical-stats tests pin it.
 //!
-//! Why these measurements: the ROADMAP's parallel-intra-run bet needs
-//! per-cluster load-skew data to choose partitions, and the
-//! sweep-service bet needs sim-cycles/sec throughput numbers per
-//! configuration — both are host properties no `SimStats` counter can
-//! see.
+//! Why these measurements: per-stage host time says which stage a
+//! speed-up must attack, and queue health and per-cluster load skew
+//! explain *why* a stage is slow on a given configuration — host
+//! properties no `SimStats` counter can see.
 
 use crate::config::MAX_CLUSTERS;
 use clustered_stats::{Histogram, Json};
@@ -97,11 +95,6 @@ pub struct QueueHealth {
     pub active_clusters: usize,
     /// Physically configured clusters.
     pub configured_clusters: usize,
-    /// Intra-run pool participants driving this run: `0` on the
-    /// sequential oracle path, otherwise the thread count of the
-    /// `--intra-jobs` pool (1 = batched path, single-threaded). Lets
-    /// the profiler fold per-cluster load onto the worker partition.
-    pub intra_threads: usize,
 }
 
 /// One aggregated slice of the host-time timeline: stage wall-clock
@@ -138,7 +131,7 @@ pub const DEFAULT_SLICE_CAP: usize = 65_536;
 ///
 /// Attach it like any observer; its
 /// [`WANTS_HOST_PROFILE`](crate::SimObserver::WANTS_HOST_PROFILE) flag
-/// switches the processor onto the instrumented cycle loop. All data is
+/// turns on the cycle loop's stage timers and health samples. All data is
 /// purely host-side: a profiled run's `SimStats` are bit-identical to
 /// an unprofiled one.
 #[derive(Debug, Clone)]
@@ -155,7 +148,6 @@ pub struct HostProfiler {
     drained_events: [u64; MAX_CLUSTERS],
     drained_total: u64,
     cluster_busy_cycles: [u64; MAX_CLUSTERS],
-    intra_threads: usize,
     last_floor: Option<u64>,
     slices: Vec<HostSlice>,
     dropped_slices: u64,
@@ -202,7 +194,6 @@ impl HostProfiler {
             drained_events: [0; MAX_CLUSTERS],
             drained_total: 0,
             cluster_busy_cycles: [0; MAX_CLUSTERS],
-            intra_threads: 0,
             last_floor: None,
             slices: Vec::new(),
             dropped_slices: 0,
@@ -279,44 +270,9 @@ impl HostProfiler {
         self.dropped_slices
     }
 
-    /// Intra-run pool participants observed in the health samples
-    /// (`0` = sequential oracle path).
-    pub fn intra_threads(&self) -> usize {
-        self.intra_threads
-    }
-
-    /// Folds a per-cluster counter array onto the intra-run worker
-    /// partition (worker `t` owns clusters `t, t + threads, …` — the
-    /// pool's strided split). Empty when no intra-run pool was active.
-    fn per_thread(&self, per_cluster: &[u64; MAX_CLUSTERS]) -> Vec<u64> {
-        let threads = self.intra_threads;
-        if threads == 0 {
-            return Vec::new();
-        }
-        let mut out = vec![0u64; threads];
-        for (c, &n) in per_cluster.iter().enumerate() {
-            out[c % threads] += n;
-        }
-        out
-    }
-
-    /// Events drained per intra-run worker (empty without a pool):
-    /// partition imbalance at a glance.
-    pub fn drained_per_thread(&self) -> Vec<u64> {
-        self.per_thread(&self.drained_events)
-    }
-
-    /// Busy cluster-cycles per intra-run worker (empty without a
-    /// pool).
-    pub fn busy_cycles_per_thread(&self) -> Vec<u64> {
-        self.per_thread(&self.cluster_busy_cycles)
-    }
-
     /// Load skew across clusters that drained at least one event:
     /// max/mean of per-cluster drained events (1.0 = perfectly even,
-    /// 0.0 when nothing drained). The parallel-partitioning work reads
-    /// this to decide whether even cluster-per-thread partitions are
-    /// defensible.
+    /// 0.0 when nothing drained).
     pub fn drained_skew(&self) -> f64 {
         let active: Vec<u64> =
             self.drained_events.iter().copied().filter(|&n| n > 0).collect();
@@ -364,18 +320,7 @@ impl HostProfiler {
                     .set("busy_cycles_per_cluster", Json::Arr(busy))
                     .set("busy_clusters", self.busy_clusters.to_json())
                     .set("fully_quiescent_cycles", self.fully_quiescent_cycles)
-                    .set("drained_skew", self.drained_skew())
-                    .set("intra_threads", self.intra_threads as u64)
-                    .set(
-                        "drained_per_thread",
-                        Json::Arr(self.drained_per_thread().into_iter().map(Json::from).collect()),
-                    )
-                    .set(
-                        "busy_cycles_per_thread",
-                        Json::Arr(
-                            self.busy_cycles_per_thread().into_iter().map(Json::from).collect(),
-                        ),
-                    ),
+                    .set("drained_skew", self.drained_skew()),
             )
             .set("sample_interval", self.sample_interval)
             .set("slices", Json::Arr(slices))
@@ -446,7 +391,6 @@ impl crate::observe::SimObserver for HostProfiler {
             self.floor_advance.record(sample.floor.saturating_sub(last));
         }
         self.last_floor = Some(sample.floor);
-        self.intra_threads = self.intra_threads.max(sample.intra_threads);
         let busy = sample.queued_mask.count_ones();
         self.busy_clusters.record(u64::from(busy));
         if busy == 0 {
@@ -491,7 +435,6 @@ mod tests {
             queued_mask: mask,
             active_clusters: 4,
             configured_clusters: 16,
-            intra_threads: 0,
         }
     }
 
@@ -520,29 +463,6 @@ mod tests {
         assert_eq!(p.busy_clusters.count(), 2);
         // Floor advance is a delta: only the second sample records one.
         assert_eq!(p.floor_advance.count(), 1);
-    }
-
-    /// Per-cluster load folds onto the pool's strided worker
-    /// partition (cluster `c` → worker `c % threads`); without a pool
-    /// the per-thread views are empty.
-    #[test]
-    fn per_thread_views_fold_the_strided_partition() {
-        let mut p = HostProfiler::default();
-        assert!(p.drained_per_thread().is_empty(), "no pool, no per-thread view");
-        let mut sample = health(1, 0b111); // clusters 0..=2 busy
-        sample.intra_threads = 2;
-        p.on_queue_health(&sample);
-        for shard in [0, 0, 1, 2, 2, 2] {
-            p.on_event_drained(shard);
-        }
-        assert_eq!(p.intra_threads(), 2);
-        // Worker 0 owns clusters 0 and 2 (2 + 3 drains, 2 busy);
-        // worker 1 owns cluster 1 (1 drain, 1 busy).
-        assert_eq!(p.drained_per_thread(), vec![5, 1]);
-        assert_eq!(p.busy_cycles_per_thread(), vec![2, 1]);
-        let j = p.to_json();
-        let skew = j.get("skew").expect("skew section");
-        assert_eq!(skew.get("intra_threads"), Some(&Json::from(2u64)));
     }
 
     #[test]

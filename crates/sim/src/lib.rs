@@ -45,10 +45,7 @@
 //! ```
 
 #![deny(missing_docs)]
-// `deny`, not `forbid`: the one sanctioned exception is
-// `pipeline::pool`, whose raw-pointer domain partition carries its
-// safety argument inline and opts in with a scoped `allow`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod audit;
 mod bankpred;

@@ -58,14 +58,14 @@ pub trait SimObserver {
     /// preserving the bit-identical zero-cost property.
     const WANTS_DECISIONS: bool = false;
 
-    /// Whether the simulator should run the *host-profiled* cycle loop
-    /// for this observer.
+    /// Whether the simulator should host-profile the cycle loop for
+    /// this observer.
     ///
     /// When `true` the pipeline reads a monotonic clock around each
     /// stage and delivers [`on_stage_nanos`](SimObserver::on_stage_nanos),
     /// [`on_queue_health`](SimObserver::on_queue_health) and
     /// [`on_event_drained`](SimObserver::on_event_drained) every cycle.
-    /// The default `false` selects the unmodified loop, so profiling
+    /// The default `false` compiles those clock reads out, so profiling
     /// costs nothing unless an observer (like
     /// [`HostProfiler`](crate::HostProfiler)) opts in — and either way
     /// simulated behaviour is untouched: the hooks only *read* machine

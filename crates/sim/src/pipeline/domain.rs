@@ -11,20 +11,18 @@
 //! they flow through the typed boundary messages of the backend
 //! ([`EventKind`](super::events::EventKind) events ordered by the
 //! global `(time, tick)` coordinator, interconnect transfer
-//! reservations, and the commit stage's architectural scatter), which
-//! is what makes phase-parallel execution over the domains sound (see
-//! DESIGN.md, "Cluster domains and intra-run parallelism").
+//! reservations, and the commit stage's architectural scatter; see
+//! DESIGN.md, "Cluster domains").
 
-use super::events::{EventKind, Shard};
+use super::events::Shard;
 use crate::cluster::{Cluster, FuGroup};
 use crate::config::ClusterParams;
 
 /// One cluster's exclusively-owned simulation state.
 ///
-/// The struct exists to make the partition *checkable*: a scoped-pool
-/// worker is handed `&mut ClusterDomain` for its clusters and nothing
-/// else, so the compiler (and the raw-pointer partition in
-/// `pipeline::pool`) can rely on phase work touching only this state.
+/// The struct makes the partition *visible*: every field here is read
+/// and written on behalf of this cluster only, so a stage that needs
+/// another cluster's state has to name that cluster's domain.
 #[derive(Debug)]
 pub(super) struct ClusterDomain {
     /// The cluster's issue scheduler (ready/pending rings, FU busy).
@@ -38,8 +36,7 @@ pub(super) struct ClusterDomain {
     /// Cycle each architectural register's value is (or becomes)
     /// available *in this cluster*; `ABSENT` until a copy is routed
     /// here. Written by dispatch's transfer bookkeeping and commit's
-    /// scatter — both boundary crossings, both on the coordinator
-    /// thread.
+    /// scatter — both boundary crossings.
     pub(super) arch_avail: [u64; 64],
     /// Arrival cycle of each in-flight instruction's result *in this
     /// cluster*, indexed by physical ROB slot. Slot `s` is meaningful
@@ -48,12 +45,8 @@ pub(super) struct ClusterDomain {
     /// the 16-cluster copy table costs the scalar stream nothing.
     pub(super) value_copies: Box<[u64]>,
     /// Issue-stage selection scratch: what `sched.select` picked this
-    /// cycle, applied to shared state in a separate (sequential) phase.
+    /// cycle, before the issue stage applies it to shared state.
     pub(super) selected: Vec<(u64, FuGroup, usize)>,
-    /// Drain-stage gather scratch: this shard's due events for the
-    /// current round as `(time, tick, kind)`, merged and executed by
-    /// the coordinator in global `(time, tick)` order.
-    pub(super) gathered: Vec<(u64, u64, EventKind)>,
 }
 
 impl ClusterDomain {
@@ -68,28 +61,6 @@ impl ClusterDomain {
             arch_avail: [0; 64],
             value_copies: vec![0; rob_slots].into_boxed_slice(),
             selected: Vec::new(),
-            gathered: Vec::new(),
-        }
-    }
-
-    /// Moves every due event (`time <= now`) out of this domain's
-    /// shard into `gathered`, whole buckets at a time.
-    ///
-    /// Callable from a pool worker: it touches only this domain. Due
-    /// times span at most the `[floor, now]` window (in practice the
-    /// current and previous cycle), and within the calendar window
-    /// each undelivered time owns its bucket exclusively, so taking
-    /// whole head buckets in time order yields exactly the events
-    /// `pop_due` would have delivered — each bucket already in tick
-    /// order, the cross-shard `(time, tick)` merge restoring the
-    /// global order.
-    pub(super) fn gather_due(&mut self, now: u64, floor: u64) {
-        while self.shard.len() > 0 {
-            let (time, _, idx) = self.shard.head(floor);
-            if time > now {
-                break;
-            }
-            self.shard.take_bucket(idx, time, &mut self.gathered);
         }
     }
 }

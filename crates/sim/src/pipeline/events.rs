@@ -8,26 +8,11 @@
 //! [`EventCoordinator`] drains all shards in one global `(time, tick)`
 //! order, so the schedule is exactly the one a single machine-wide
 //! queue would compute while quiescent clusters cost nothing (see
-//! DESIGN.md, "Sharded event model").
-//!
-//! Two drain strategies compute that same schedule:
-//!
-//! - [`Processor::drain_events`] — the sequential oracle: pop the
-//!   globally earliest due event, run its handler, repeat.
-//! - [`Processor::drain_events_batched`] — the round-based drain used
-//!   by the `--intra-jobs` path: gather every currently due event out
-//!   of the shards (optionally on a scoped thread pool — gathering
-//!   touches only the owning domain), merge by `(time, tick)`, then
-//!   run the handlers in that order; repeat until nothing is due.
-//!   Handler pushes always carry the current cycle or later with a
-//!   fresh (larger) tick, so they sort after everything gathered and
-//!   are picked up by the next round — the delivered order is
-//!   bit-identical to the oracle's (pinned by the unit tests here and
-//!   by `tests/parallel_equivalence.rs`).
+//! DESIGN.md, "Sharded event model"). [`Processor::drain_events`] pops
+//! the globally earliest due event, runs its handler, and repeats.
 
 use super::domain::ClusterDomain;
-use super::pool::IntraPool;
-use super::{Processor, ABSENT, FANOUT_MIN, STORE_VALUE_SLOT};
+use super::{Processor, ABSENT, STORE_VALUE_SLOT};
 use crate::cluster::FuGroup;
 use crate::config::CacheModel;
 use crate::observe::{SimObserver, TransferKind};
@@ -117,7 +102,7 @@ impl Shard {
     }
 
     /// Undelivered events waiting in this shard.
-    pub(super) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.len
     }
 
@@ -152,14 +137,13 @@ impl Shard {
         (sw << 6) | bits.trailing_zeros() as usize
     }
 
-    /// The earliest undelivered event, as `(time, tick, bucket)`.
-    /// `floor` must lower-bound every undelivered time, which makes
-    /// ring order from `floor` equal to time order.
-    pub(super) fn head(&self, floor: u64) -> (u64, u64, usize) {
-        let idx = self.find_first(floor as usize & CAL_MASK);
-        let b = &self.buckets[idx];
+    /// The earliest undelivered event, as `(time, tick)`. `floor` must
+    /// lower-bound every undelivered time, which makes ring order from
+    /// `floor` equal to time order.
+    fn head(&self, floor: u64) -> (u64, u64) {
+        let b = &self.buckets[self.find_first(floor as usize & CAL_MASK)];
         let (t, k, _) = b.items[b.next];
-        (t, k, idx)
+        (t, k)
     }
 
     /// Pops the head of bucket `idx` — the shard's earliest event,
@@ -186,34 +170,6 @@ impl Shard {
         } else {
             (kind, Some((time, b.items[b.next].1)))
         }
-    }
-
-    /// Takes every undelivered entry of bucket `idx` into `out` and
-    /// empties the bucket, returning the count. Within the window one
-    /// bucket holds events of exactly one undelivered `time`, already
-    /// in tick order, so this is the batch form of repeated
-    /// [`Shard::pop_at`] on the same bucket.
-    pub(super) fn take_bucket(
-        &mut self,
-        idx: usize,
-        time: u64,
-        out: &mut Vec<(u64, u64, EventKind)>,
-    ) -> usize {
-        let b = &mut self.buckets[idx];
-        debug_assert!(
-            b.next < b.items.len() && b.items[b.next].0 == time,
-            "taking a bucket whose head is not time {time}"
-        );
-        let n = b.items.len() - b.next;
-        out.extend_from_slice(&b.items[b.next..]);
-        b.items.clear();
-        b.next = 0;
-        self.occ[idx >> 6] &= !(1 << (idx & 63));
-        if self.occ[idx >> 6] == 0 {
-            self.summary &= !(1 << (idx >> 6));
-        }
-        self.len -= n;
-        n
     }
 }
 
@@ -307,7 +263,7 @@ pub(super) struct EventCoordinator {
     /// that already touch the same cache lines — kept unconditionally
     /// so the invariant is checkable on any run.
     pushed: u64,
-    /// Cumulative events ever delivered (by pop or batch gather).
+    /// Cumulative events ever delivered.
     popped: u64,
 }
 
@@ -323,17 +279,6 @@ impl EventCoordinator {
             pushed: 0,
             popped: 0,
         }
-    }
-
-    /// The drain floor: every undelivered event fires at or after it.
-    pub(super) fn floor(&self) -> u64 {
-        self.floor
-    }
-
-    /// Lower bound on the earliest pending event time; the cycle
-    /// loop's one-comparison idle exit.
-    pub(super) fn next_due(&self) -> u64 {
-        self.next_due
     }
 
     fn insert(&mut self, domains: &mut [ClusterDomain], shard: usize, time: u64, tick: u64, kind: EventKind) {
@@ -413,8 +358,7 @@ impl EventCoordinator {
                     } else if let Some(head) = same_bucket {
                         head
                     } else {
-                        let (ht, hk, _) = domains[c].shard.head(self.floor);
-                        (ht, hk)
+                        domains[c].shard.head(self.floor)
                     };
                     self.heads[c] = head;
                     self.tree.update(c, head);
@@ -438,63 +382,6 @@ impl EventCoordinator {
                     return None;
                 }
             }
-        }
-    }
-
-    /// Opens one batch-drain round: replicates [`pop_due`]'s frontier
-    /// and floor bookkeeping (overflow migration, blocked-window
-    /// retry, `next_due`/floor refresh when nothing is due), then
-    /// returns the bitmask of shards whose head is due at `now` — the
-    /// shards [`ClusterDomain::gather_due`] must empty this round. A
-    /// zero mask means the drain is complete for this cycle, with
-    /// `next_due` exact, just as after a `pop_due` miss.
-    ///
-    /// [`pop_due`]: EventCoordinator::pop_due
-    pub(super) fn begin_round(&mut self, domains: &mut [ClusterDomain], now: u64) -> u32 {
-        loop {
-            if !self.overflow.is_empty() {
-                self.migrate_overflow_upto(domains, now);
-            }
-            match self.tree.min() {
-                (t, ..) if t <= now && t != u64::MAX => {
-                    let mut mask = 0u32;
-                    for (c, &(ht, _)) in self.heads.iter().enumerate() {
-                        if ht <= now {
-                            mask |= 1 << c;
-                        }
-                    }
-                    return mask;
-                }
-                (t, ..) => {
-                    let oh = self.overflow_head_time();
-                    if !self.overflow.is_empty() && oh <= now {
-                        self.floor = self.floor.max(t.min(oh));
-                        continue;
-                    }
-                    self.next_due = t.min(oh);
-                    self.floor = self.floor.max(now.saturating_add(1));
-                    return 0;
-                }
-            }
-        }
-    }
-
-    /// Closes a batch-drain round after the shards in `mask` gathered:
-    /// refreshes their cached heads and the winner tree, and accounts
-    /// the gathered events as delivered.
-    pub(super) fn finish_round(&mut self, domains: &mut [ClusterDomain], mut mask: u32) {
-        while mask != 0 {
-            let c = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            self.popped += domains[c].gathered.len() as u64;
-            let head = if domains[c].shard.len() == 0 {
-                (u64::MAX, u64::MAX)
-            } else {
-                let (ht, hk, _) = domains[c].shard.head(self.floor);
-                (ht, hk)
-            };
-            self.heads[c] = head;
-            self.tree.update(c, head);
         }
     }
 
@@ -538,7 +425,7 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
         }
     }
 
-    /// The sequential oracle drain: one event at a time, in global
+    /// Delivers every event due this cycle, one at a time, in global
     /// `(time, tick)` order, each handler running before the next pop.
     pub(super) fn drain_events(&mut self) {
         while let Some((shard, kind)) = self.events.pop_due(&mut self.domains, self.now) {
@@ -547,66 +434,6 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
             }
             self.handle(kind);
         }
-    }
-
-    /// The round-based drain of the `--intra-jobs` path: gather every
-    /// currently due event out of the owning shards (fanned out over
-    /// `pool` when enough shards are due), merge by `(time, tick)`,
-    /// execute, repeat. Handlers only ever schedule at the current
-    /// cycle or later with fresh ticks, so each round's merged batch
-    /// is a prefix of the remaining global order and the delivered
-    /// sequence is bit-identical to [`drain_events`].
-    ///
-    /// [`drain_events`]: Processor::drain_events
-    pub(super) fn drain_events_batched(&mut self, pool: Option<&IntraPool>) {
-        if self.events.next_due() > self.now {
-            return;
-        }
-        loop {
-            let due = self.events.begin_round(&mut self.domains, self.now);
-            if due == 0 {
-                break;
-            }
-            let floor = self.events.floor();
-            match pool {
-                Some(pool) if due.count_ones() as usize >= FANOUT_MIN => {
-                    pool.gather(&mut self.domains, due, self.now, floor);
-                }
-                _ => {
-                    let mut m = due;
-                    while m != 0 {
-                        let c = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        self.domains[c].gather_due(self.now, floor);
-                    }
-                }
-            }
-            self.events.finish_round(&mut self.domains, due);
-            self.execute_gathered(due);
-        }
-    }
-
-    /// Merges the shards' gathered events back into global `(time,
-    /// tick)` order and runs their handlers.
-    fn execute_gathered(&mut self, mut mask: u32) {
-        let mut merged = std::mem::take(&mut self.drain_scratch);
-        debug_assert!(merged.is_empty());
-        while mask != 0 {
-            let c = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            for (t, k, kind) in self.domains[c].gathered.drain(..) {
-                merged.push((t, k, c as u32, kind));
-            }
-        }
-        merged.sort_unstable_by_key(|&(t, k, ..)| (t, k));
-        for &(_, _, shard, kind) in &merged {
-            if O::WANTS_HOST_PROFILE {
-                self.observer.on_event_drained(shard as usize);
-            }
-            self.handle(kind);
-        }
-        merged.clear();
-        self.drain_scratch = merged;
     }
 
     /// A cache-related transfer between clusters: free when local,
@@ -1050,106 +877,5 @@ mod tests {
         let (calendar, overflow, floor) = s.health(&d);
         assert_eq!((calendar, overflow), (1, 1));
         assert!(floor > 5, "floor advances with the drain");
-    }
-
-    /// Drains `s` at `now` with the round-based batch machinery,
-    /// returning delivered `(shard, kind)` in execution order —
-    /// the test-local mirror of `drain_events_batched`.
-    fn drain_batched(
-        s: &mut EventCoordinator,
-        d: &mut [ClusterDomain],
-        now: u64,
-    ) -> Vec<(usize, EventKind)> {
-        let mut order = Vec::new();
-        if s.next_due > now {
-            return order;
-        }
-        loop {
-            let due = s.begin_round(d, now);
-            if due == 0 {
-                break;
-            }
-            let floor = s.floor;
-            let mut m = due;
-            while m != 0 {
-                let c = m.trailing_zeros() as usize;
-                m &= m - 1;
-                d[c].gather_due(now, floor);
-            }
-            s.finish_round(d, due);
-            let mut merged = Vec::new();
-            let mut m = due;
-            while m != 0 {
-                let c = m.trailing_zeros() as usize;
-                m &= m - 1;
-                for (t, k, kind) in d[c].gathered.drain(..) {
-                    merged.push((t, k, c, kind));
-                }
-            }
-            merged.sort_unstable_by_key(|&(t, k, ..)| (t, k));
-            order.extend(merged.into_iter().map(|(_, _, c, kind)| (c, kind)));
-        }
-        order
-    }
-
-    /// The batch drain must deliver exactly `pop_due`'s sequence —
-    /// same events, same order, same frontier/floor/conservation
-    /// bookkeeping — over a pseudo-random schedule with same-cycle
-    /// ties, cross-shard spread, and far-future overflow parking.
-    #[test]
-    fn batched_rounds_match_pop_due_order() {
-        let shards = 4;
-        let (mut a, mut da) = harness(shards);
-        let (mut b, mut db) = harness(shards);
-        let mut lcg = 0x2545_f491_4f6c_dd1du64;
-        let mut next = move || {
-            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            lcg >> 33
-        };
-        let mut seq = 0u64;
-        for now in 1..600u64 {
-            for _ in 0..next() % 4 {
-                let shard = (next() % shards as u64) as usize;
-                let dt = match next() % 8 {
-                    0 => 0,
-                    1..=5 => next() % 16,
-                    _ => next() % (3 * super::CAL_WINDOW as u64),
-                };
-                seq += 1;
-                a.push(&mut da, shard, now + dt, wb(seq));
-                b.push(&mut db, shard, now + dt, wb(seq));
-            }
-            let mut order_a = Vec::new();
-            while let Some(ev) = a.pop_due(&mut da, now) {
-                order_a.push(ev);
-            }
-            let order_b = drain_batched(&mut b, &mut db, now);
-            assert_eq!(order_a, order_b, "delivery diverged at cycle {now}");
-            assert_eq!(
-                (a.next_due, a.floor, a.popped, a.pushed),
-                (b.next_due, b.floor, b.popped, b.pushed),
-                "bookkeeping diverged at cycle {now}"
-            );
-        }
-        assert!(a.popped > 100, "the schedule actually exercised the drain");
-    }
-
-    /// A due-but-window-blocked overflow event must release in a later
-    /// round, after every calendar event — matching `pop_due`'s
-    /// floor-raise-and-retry, not jumping ahead of the calendar.
-    #[test]
-    fn batched_drain_releases_blocked_overflow_after_calendar() {
-        let w = super::CAL_WINDOW as u64;
-        let (mut s, mut d) = harness(2);
-        s.push(&mut d, 0, 5, wb(1));
-        assert_eq!(drain_batched(&mut s, &mut d, 5), vec![(0, wb(1))]);
-        // floor is now 6; park an event past the window, plus a
-        // calendar event between.
-        let far = 6 + w + 10;
-        s.push(&mut d, 1, far, wb(2)); // overflow (far - 6 >= window)
-        s.push(&mut d, 0, 20, wb(3)); // calendar
-        let order = drain_batched(&mut s, &mut d, far);
-        assert_eq!(order, vec![(0, wb(3)), (1, wb(2))]);
-        assert_eq!(s.pop_due(&mut d, u64::MAX), None);
     }
 }

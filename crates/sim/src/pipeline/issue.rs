@@ -8,22 +8,15 @@
 //! ticks: the computed schedule is bit-identical, the cost is
 //! proportional to busy clusters only.
 //!
-//! The stage factors into a *select* half (the cluster's scheduler
-//! picks this cycle's issue set into its own domain's scratch) and an
-//! *apply* half (ROB updates, stats, event scheduling — shared
-//! state). Select reads and writes only the owning [`ClusterDomain`],
-//! and apply on cluster `c` never touches another cluster's scheduler
-//! — an issued instruction wakes consumers via *events*, never by a
-//! same-cycle direct enqueue — so running every select before every
-//! apply ([`Processor::issue_split`], the `--intra-jobs` path, with
-//! the selects optionally fanned over the pool) computes exactly the
-//! schedule of the interleaved sequential loop ([`Processor::issue`]).
+//! Each busy cluster's scheduler picks this cycle's issue set into its
+//! own [`ClusterDomain`]'s scratch; the stage then applies the picks to
+//! shared state (ROB flags, stats, event scheduling). An issued
+//! instruction wakes its consumers through *events*, never by a
+//! same-cycle direct enqueue into another cluster's scheduler.
 //!
 //! [`ClusterDomain`]: super::domain::ClusterDomain
 
 use super::events::EventKind;
-use super::pool::IntraPool;
-use super::FANOUT_MIN;
 use crate::cluster::{latency_of, Domain};
 use crate::observe::SimObserver;
 use crate::reconfig::DISTANT_DEPTH;
@@ -33,8 +26,8 @@ use clustered_isa::OpClass;
 use super::Processor;
 
 impl<T: TraceSource, O: SimObserver> Processor<T, O> {
-    /// The sequential oracle: per busy cluster, select then apply,
-    /// interleaved in ascending cluster order.
+    /// Per busy cluster, in ascending cluster order: select this
+    /// cycle's issue set, then apply it.
     pub(super) fn issue(&mut self) {
         let busy = self.queued_mask.count_ones() as usize;
         self.stats.quiescent_cluster_cycles += (self.domains.len() - busy) as u64;
@@ -42,56 +35,24 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
         while m != 0 {
             let c = m.trailing_zeros() as usize;
             m &= m - 1;
-            self.select_cluster(c);
-            self.apply_cluster(c);
+            self.issue_cluster(c);
         }
     }
 
-    /// The phase-split form used with `--intra-jobs`: every busy
-    /// cluster selects first (fanned over `pool` when wide enough),
-    /// then applies in ascending order — the same schedule as
-    /// [`issue`](Self::issue), per the module-level argument.
-    pub(super) fn issue_split(&mut self, pool: Option<&IntraPool>) {
-        let mask = self.queued_mask;
-        let busy = mask.count_ones() as usize;
-        self.stats.quiescent_cluster_cycles += (self.domains.len() - busy) as u64;
-        match pool {
-            Some(pool) if busy >= FANOUT_MIN => pool.select(&mut self.domains, mask, self.now),
-            _ => {
-                let mut m = mask;
-                while m != 0 {
-                    let c = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    self.select_cluster(c);
-                }
-            }
-        }
-        let mut m = mask;
-        while m != 0 {
-            let c = m.trailing_zeros() as usize;
-            m &= m - 1;
-            self.apply_cluster(c);
-        }
-    }
-
-    /// The select half: the cluster's scheduler fills its domain's
-    /// `selected` scratch. Touches only that domain (pool-safe).
-    fn select_cluster(&mut self, c: usize) {
+    /// Cluster `c`'s scheduler fills its domain's `selected` scratch;
+    /// the selections then go to shared state — FU occupancy, ROB
+    /// flags, criticality training, stats, and the writeback/AGU
+    /// events.
+    fn issue_cluster(&mut self, c: usize) {
         let d = &mut self.domains[c];
-        d.selected.clear();
-        d.sched.select(self.now, &mut d.selected);
-    }
-
-    /// The apply half: commits cluster `c`'s selections to shared
-    /// state — FU occupancy, ROB flags, criticality training, stats,
-    /// and the writeback/AGU events. Main-thread only.
-    fn apply_cluster(&mut self, c: usize) {
-        let head_seq = self.rob.front().map(|e| e.d.seq);
-        self.stats.cluster_busy_cycles[c] += 1;
-        if self.domains[c].sched.queued() == 0 {
+        let mut selected = std::mem::take(&mut d.selected);
+        selected.clear();
+        d.sched.select(self.now, &mut selected);
+        if d.sched.queued() == 0 {
             self.queued_mask &= !(1 << c);
         }
-        let selected = std::mem::take(&mut self.domains[c].selected);
+        let head_seq = self.rob.front().map(|e| e.d.seq);
+        self.stats.cluster_busy_cycles[c] += 1;
         for &(seq, group, unit) in &selected {
             let Some(idx) = self.rob_index(seq) else {
                 debug_assert!(false, "issued seq {seq} not in the ROB");

@@ -24,9 +24,8 @@
 //! - `issue` — per-cluster select/issue with quiescence skipping.
 //! - `dispatch` — rename, steering, and structural-hazard checks.
 //! - `fetch` — branch prediction and the fetch queue.
-//! - `pool` — the scoped spin-barrier pool behind `--intra-jobs`.
 //!
-//! # Sharding, quiescence, and intra-run parallelism
+//! # Sharding and quiescence
 //!
 //! The event queue is sharded per physical cluster and the issue stage
 //! keeps a bitmask of clusters with queued instructions, so a cycle's
@@ -36,12 +35,6 @@
 //! `(time, tick)` order of a single queue, so the computed schedule is
 //! bit-identical to the pre-sharding simulator (see DESIGN.md and the
 //! oracle pin in `tests/shard_equivalence.rs`).
-//!
-//! With [`SimConfig::intra_jobs`] non-zero the drain and issue stages
-//! run their per-domain halves (gather, select) across a scoped
-//! thread pool and apply the results on the main thread in the
-//! sequential order — same schedule, pinned bit-identical by
-//! `tests/parallel_equivalence.rs`.
 
 mod commit;
 mod dispatch;
@@ -49,7 +42,6 @@ mod domain;
 mod events;
 mod fetch;
 mod issue;
-mod pool;
 
 use crate::bankpred::BankPredictor;
 use crate::bpred::BranchPredictor;
@@ -66,8 +58,7 @@ use crate::steer::{Steering, SteeringKind};
 use clustered_emu::{DecodedInst, TraceSource};
 use clustered_isa::{ArchReg, OpClass};
 use domain::ClusterDomain;
-use events::{EventCoordinator, EventKind};
-use pool::IntraPool;
+use events::EventCoordinator;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -76,12 +67,6 @@ const ABSENT: u64 = u64::MAX;
 
 /// Waiter slot marking a store's data operand.
 const STORE_VALUE_SLOT: u8 = 2;
-
-/// Minimum per-phase fan-out (due shards, busy clusters) before a
-/// phase is worth handing to the pool: below this the barrier costs
-/// more than the work. Purely a host-side gate — the simulated
-/// schedule is identical either way.
-const FANOUT_MIN: usize = 4;
 
 /// A simulation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -329,7 +314,7 @@ pub struct Processor<T, O = NullObserver> {
     /// calendar shard, IQ/free-reg occupancy, and value-availability
     /// state that cluster owns exclusively. Everything cross-cluster —
     /// register copies, interconnect hops, LSQ/cache traffic, commit —
-    /// goes through the event coordinator or runs on the main thread.
+    /// goes through the event coordinator or the commit stage.
     domains: Vec<ClusterDomain>,
     lsq: Vec<LsqSlice>,
     rob: RobRing,
@@ -346,8 +331,6 @@ pub struct Processor<T, O = NullObserver> {
     /// Global `(time, tick)` ordering state over the domains' calendar
     /// shards.
     events: EventCoordinator,
-    /// Reused batch-drain merge scratch: `(time, tick, shard, kind)`.
-    drain_scratch: Vec<(u64, u64, u32, EventKind)>,
     /// Bit `c` set ⇔ cluster `c` has queued (dispatched, operands
     /// ready or pending) instructions; the issue stage visits only set
     /// bits. Maintained by [`Processor::cluster_enqueue`] and the
@@ -449,7 +432,8 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
         cfg.validate()?;
         let count = cfg.clusters.count;
         // Architectural registers are homed round-robin across the
-        // physical clusters and occupy a register there.
+        // physical clusters and occupy a register there; `validate`
+        // guarantees every cluster's register file has room to spare.
         let mut reserved = [[0usize; 2]; MAX_CLUSTERS];
         let mut arch_home = [0usize; 64];
         for r in 0..64 {
@@ -462,10 +446,6 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
         let mut domains: Vec<ClusterDomain> =
             (0..count).map(|_| ClusterDomain::new(&cfg.clusters, rob_slots)).collect();
         for (c, d) in domains.iter_mut().enumerate() {
-            assert!(
-                reserved[c][0] < cfg.clusters.int_regs && reserved[c][1] < cfg.clusters.fp_regs,
-                "architectural state exceeds the cluster register file"
-            );
             d.free_regs[0] = cfg.clusters.int_regs - reserved[c][0];
             d.free_regs[1] = cfg.clusters.fp_regs - reserved[c][1];
         }
@@ -499,7 +479,6 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
             dispatch_stall_until: 0,
             trace_done: false,
             events: EventCoordinator::new(count),
-            drain_scratch: Vec::new(),
             queued_mask: 0,
             loads_waiting_data: Vec::new(),
             waiting_scratch: Vec::new(),
@@ -576,40 +555,10 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
     /// [`SimError::Stalled`] if the pipeline stops making progress (an
     /// internal invariant violation, not a program property).
     pub fn run(&mut self, instructions: u64) -> Result<SimStats, SimError> {
-        // `intra_jobs` is a host-execution knob: the parallel path
-        // computes the bit-identical schedule (pinned by
-        // `tests/parallel_equivalence.rs`), it just drains/selects the
-        // domains on more threads. Below two participants there is no
-        // pool — `intra_jobs == 1` still exercises the batched path,
-        // single-threaded.
-        let threads = self.cfg.intra_jobs.min(self.domains.len());
-        if threads >= 2 {
-            let state = pool::PoolState::new();
-            std::thread::scope(|scope| {
-                // Shuts the workers down even if `run_loop` panics;
-                // otherwise the scope's implicit join would deadlock.
-                let _guard = pool::ShutdownGuard(&state);
-                for t in 1..threads {
-                    let state = &state;
-                    scope.spawn(move || pool::worker(state, t, threads));
-                }
-                let intra = IntraPool::new(&state, threads);
-                self.run_loop(instructions, Some(&intra))
-            })
-        } else {
-            self.run_loop(instructions, None)
-        }
-    }
-
-    fn run_loop(
-        &mut self,
-        instructions: u64,
-        pool: Option<&IntraPool>,
-    ) -> Result<SimStats, SimError> {
         let target = self.stats.committed + instructions;
         let mut last_progress = (self.stats.committed, self.now);
         while self.stats.committed < target && !self.finished() {
-            self.step_cycle(pool);
+            self.step_cycle();
             if self.stats.committed != last_progress.0 {
                 last_progress = (self.stats.committed, self.now);
             } else if self.now - last_progress.1 > 1_000_000 {
@@ -621,24 +570,73 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
 
     /// Advances the machine one cycle.
     ///
-    /// `WANTS_HOST_PROFILE` is a `const`, so each monomorphization
-    /// keeps exactly one of the two loop bodies: the default
-    /// [`NullObserver`](crate::NullObserver) build compiles to
-    /// [`step_cycle_plain`](Self::step_cycle_plain) — byte-for-byte the
-    /// pre-profiler loop — and pays nothing for the instrumentation.
-    fn step_cycle(&mut self, pool: Option<&IntraPool>) {
+    /// `WANTS_HOST_PROFILE` and `WANTS_AUDIT` are `const`s, so the
+    /// default [`NullObserver`](crate::NullObserver) build compiles the
+    /// stage clock reads, the queue-health sample and the audit
+    /// snapshot away and pays nothing for the instrumentation. A
+    /// profiled build stamps the clock at every stage boundary, so each
+    /// stage's wall-clock lands in its [`HostStage`](crate::HostStage)
+    /// bucket. The instrumentation only *reads* machine state, so
+    /// profiled and audited runs compute the bit-identical schedule
+    /// (pinned by the host-profile and audit tests).
+    fn step_cycle(&mut self) {
+        use crate::host::HOST_STAGE_COUNT;
+        use std::time::Instant;
+        self.now += 1;
+        let mut marks = [None; HOST_STAGE_COUNT + 1];
+        let mut mark = |i: usize| {
+            if O::WANTS_HOST_PROFILE {
+                marks[i] = Some(Instant::now());
+            }
+        };
+        mark(0);
+        self.drain_events();
+        mark(1);
+        self.commit();
+        self.apply_reconfig();
+        mark(2);
+        self.issue();
+        mark(3);
+        self.dispatch();
+        mark(4);
+        self.fetch();
+        mark(5);
+        self.stats.cycles += 1;
+        self.stats.rob_occupancy_sum += self.rob.len() as u64;
+        self.stats.active_cluster_cycles += self.active as u64;
+        self.stats.cycles_at_config[self.active - 1] += 1;
+        self.observer.on_cycle(self.now, self.active, self.rob.len());
+        mark(6);
         if O::WANTS_HOST_PROFILE {
-            self.step_cycle_profiled(pool);
-        } else {
-            self.step_cycle_plain(pool);
+            self.deliver_host_profile(&marks);
         }
-        // `WANTS_AUDIT` is likewise a `const`: the default build
-        // compiles the snapshot assembly away entirely. The snapshot
-        // only *reads* machine state, so audited runs compute the
-        // bit-identical schedule.
         if O::WANTS_AUDIT {
             self.deliver_audit();
         }
+    }
+
+    /// Hands the observer this cycle's per-stage wall-clock (from the
+    /// stage-boundary stamps `marks`) and the end-of-cycle queue-health
+    /// sample. Called only when `O::WANTS_HOST_PROFILE`.
+    fn deliver_host_profile(&mut self, marks: &[Option<std::time::Instant>]) {
+        use crate::host::{QueueHealth, HOST_STAGE_COUNT};
+        let mut nanos = [0u64; HOST_STAGE_COUNT];
+        for (n, pair) in nanos.iter_mut().zip(marks.windows(2)) {
+            if let [Some(start), Some(end)] = pair {
+                *n = end.duration_since(*start).as_nanos() as u64;
+            }
+        }
+        self.observer.on_stage_nanos(&nanos);
+        let (calendar_events, overflow_events, floor) = self.events.health(&self.domains);
+        self.observer.on_queue_health(&QueueHealth {
+            cycle: self.now,
+            calendar_events,
+            overflow_events,
+            floor,
+            queued_mask: self.queued_mask,
+            active_clusters: self.active,
+            configured_clusters: self.domains.len(),
+        });
     }
 
     /// Assembles the end-of-cycle [`crate::AuditCheck`] snapshot and
@@ -670,87 +668,6 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
             events_pending,
         };
         self.observer.on_audit(&check);
-    }
-
-    fn step_cycle_plain(&mut self, pool: Option<&IntraPool>) {
-        self.now += 1;
-        if self.cfg.intra_jobs == 0 {
-            self.drain_events();
-        } else {
-            self.drain_events_batched(pool);
-        }
-        self.commit();
-        self.apply_reconfig();
-        if self.cfg.intra_jobs == 0 {
-            self.issue();
-        } else {
-            self.issue_split(pool);
-        }
-        self.dispatch();
-        self.fetch();
-        self.stats.cycles += 1;
-        self.stats.rob_occupancy_sum += self.rob.len() as u64;
-        self.stats.active_cluster_cycles += self.active as u64;
-        self.stats.cycles_at_config[self.active - 1] += 1;
-        self.observer.on_cycle(self.now, self.active, self.rob.len());
-    }
-
-    /// The same cycle as [`step_cycle_plain`](Self::step_cycle_plain),
-    /// bracketed by monotonic-clock reads so each stage's wall-clock is
-    /// attributed to its bucket. The stage sequence and every simulated
-    /// effect are identical — the timers and the end-of-cycle health
-    /// sample only *read* state — so profiled `SimStats` match the
-    /// plain loop bit for bit (pinned by the host-profile tests).
-    fn step_cycle_profiled(&mut self, pool: Option<&IntraPool>) {
-        use crate::host::{QueueHealth, HOST_STAGE_COUNT};
-        use std::time::Instant;
-        self.now += 1;
-        let mut marks = [Instant::now(); HOST_STAGE_COUNT + 1];
-        if self.cfg.intra_jobs == 0 {
-            self.drain_events();
-        } else {
-            self.drain_events_batched(pool);
-        }
-        marks[1] = Instant::now();
-        self.commit();
-        self.apply_reconfig();
-        marks[2] = Instant::now();
-        if self.cfg.intra_jobs == 0 {
-            self.issue();
-        } else {
-            self.issue_split(pool);
-        }
-        marks[3] = Instant::now();
-        self.dispatch();
-        marks[4] = Instant::now();
-        self.fetch();
-        marks[5] = Instant::now();
-        self.stats.cycles += 1;
-        self.stats.rob_occupancy_sum += self.rob.len() as u64;
-        self.stats.active_cluster_cycles += self.active as u64;
-        self.stats.cycles_at_config[self.active - 1] += 1;
-        self.observer.on_cycle(self.now, self.active, self.rob.len());
-        marks[6] = Instant::now();
-        let mut nanos = [0u64; HOST_STAGE_COUNT];
-        for (i, n) in nanos.iter_mut().enumerate() {
-            *n = marks[i + 1].duration_since(marks[i]).as_nanos() as u64;
-        }
-        self.observer.on_stage_nanos(&nanos);
-        let (calendar_events, overflow_events, floor) = self.events.health(&self.domains);
-        self.observer.on_queue_health(&QueueHealth {
-            cycle: self.now,
-            calendar_events,
-            overflow_events,
-            floor,
-            queued_mask: self.queued_mask,
-            active_clusters: self.active,
-            configured_clusters: self.domains.len(),
-            intra_threads: if self.cfg.intra_jobs == 0 {
-                0
-            } else {
-                pool.map_or(1, IntraPool::threads)
-            },
-        });
     }
 
     /// Index of in-flight instruction `seq` in the ROB, or `None` if

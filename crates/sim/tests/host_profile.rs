@@ -2,8 +2,10 @@
 //! never change simulated behaviour, and the profile it produces must
 //! be internally consistent with the run it measured.
 
+use clustered_core::IntervalExplore;
 use clustered_sim::{
-    FixedPolicy, HostProfiler, HostStage, Processor, SimConfig, SimStats, SteeringKind,
+    CacheModel, FixedPolicy, HostProfiler, HostStage, Processor, ReconfigPolicy, SimConfig,
+    SimStats, SteeringKind,
 };
 use clustered_workloads::by_name;
 
@@ -27,16 +29,45 @@ fn run_profiled(instructions: u64, sample_interval: u64) -> (SimStats, HostProfi
 /// changes no `SimStats` counter. Together with
 /// `observed_and_unobserved_runs_are_identical` (which pins the
 /// profiler-*off* loop) this brackets both sides of the
-/// `WANTS_HOST_PROFILE` branch.
+/// `WANTS_HOST_PROFILE` branches of the one cycle-loop body. The
+/// points cover the centralized cache at 8 clusters, the widest
+/// decentralized machine (16 of 16, where event drain dominates), and
+/// an adaptive policy that reconfigures mid-run.
 #[test]
 fn profiled_and_plain_runs_have_identical_stats() {
+    let mut decentralized = SimConfig::default();
+    decentralized.cache.model = CacheModel::Decentralized;
+    type MakePolicy = fn() -> Box<dyn ReconfigPolicy>;
+    let points: [(&str, SimConfig, MakePolicy, u64); 3] = [
+        ("centralized fixed-8", SimConfig::default(), || Box::new(FixedPolicy::new(8)), 20_000),
+        ("decentralized fixed-16", decentralized, || Box::new(FixedPolicy::new(16)), 20_000),
+        (
+            "centralized interval-explore",
+            SimConfig::default(),
+            || Box::new(IntervalExplore::default()),
+            60_000,
+        ),
+    ];
     let w = by_name("gzip").expect("gzip workload exists");
-    let stream = w.trace().map(Result::unwrap);
-    let mut plain = Processor::new(SimConfig::default(), stream, Box::new(FixedPolicy::new(8)))
+    for (label, cfg, policy, instructions) in points {
+        let mut plain =
+            Processor::new(cfg, w.trace().map(Result::unwrap), policy()).expect("valid config");
+        let baseline = plain.run(instructions).expect("no stall");
+        let mut cpu = Processor::with_observer(
+            cfg,
+            w.trace().map(Result::unwrap),
+            policy(),
+            SteeringKind::default(),
+            HostProfiler::new(1_000),
+        )
         .expect("valid config");
-    let baseline = plain.run(20_000).expect("no stall");
-    let (profiled, _) = run_profiled(20_000, 1_000);
-    assert_eq!(baseline, profiled, "host profiling must not change simulated behaviour");
+        let profiled = cpu.run(instructions).expect("no stall");
+        assert_eq!(baseline, profiled, "{label}: host profiling changed simulated behaviour");
+        assert_eq!(cpu.observer().cycles(), profiled.cycles, "{label}: one sample per cycle");
+        if label.ends_with("interval-explore") {
+            assert!(profiled.reconfigurations > 0, "{label}: the policy must reconfigure");
+        }
+    }
 }
 
 #[test]

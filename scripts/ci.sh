@@ -21,11 +21,11 @@ echo "==> schedule oracles under debug assertions"
 # above also covers them — this gate must survive that step ever
 # moving to --release.
 #
-# parallel_equivalence re-runs the 360-point matrix at 1/2/4 intra-run
-# threads: the pool's raw-pointer domain partition and the batched
-# event-drain invariants are exactly the kind of code whose bugs only
-# debug_assert! catches.
-cargo test --quiet --test shard_equivalence --test compiled_replay --test parallel_equivalence
+# host_profile runs the cycle loop with and without the host profiler
+# compiled in and requires identical stats, so the one loop body is
+# checked under the same debug assertions in both builds.
+cargo test --quiet --test shard_equivalence --test compiled_replay
+cargo test --quiet -p clustered-sim --test host_profile
 
 echo "==> flat-scheduler property suite (slow-tests feature)"
 # Model-based equivalence of Cluster::select against the reference

@@ -92,8 +92,6 @@ USAGE:
                 [--policy fixed|explore|distant|branch|subroutine]
                 [--clusters N] [--instructions N] [--warmup N]
                 [--decentralized] [--grid] [--monolithic] [--energy]
-                [--intra-jobs N]  drain shards / issue across N threads within
-                                  the run (0 = sequential oracle; bit-identical)
                 [--csv FILE]      write a per-interval timeline CSV
                 [--json]          print statistics as a JSON document
                                   ({schema_version, provenance, data})
@@ -130,7 +128,6 @@ USAGE:
   clustered perf [--workload NAME | --program FILE.s]
                 [--policy ...] [--clusters N] [--instructions N] [--warmup N]
                 [--decentralized] [--grid] [--monolithic]
-                [--intra-jobs N]  intra-run worker threads (0 = sequential)
                 [--sample-interval N]
                                 host-profile slice length in cycles (default 10000)
                 [--out FILE.json] write a host-side Chrome trace (stage spans
@@ -236,9 +233,6 @@ fn build_config(flags: &Flags) -> Result<SimConfig, String> {
     if flags.has("grid") {
         cfg.interconnect.topology = Topology::Grid;
     }
-    // Host-execution knob: the schedule is bit-identical at any value
-    // (0 = the sequential oracle loop).
-    cfg.intra_jobs = flags.get_u64("intra-jobs", 0)? as usize;
     cfg.validate().map_err(|e| e.to_string())?;
     Ok(cfg)
 }
@@ -283,7 +277,6 @@ const RUN_FLAGS: &[&str] = &[
     "decentralized",
     "grid",
     "monolithic",
-    "intra-jobs",
     "energy",
     "csv",
     "json",
@@ -897,7 +890,6 @@ const PERF_FLAGS: &[&str] = &[
     "decentralized",
     "grid",
     "monolithic",
-    "intra-jobs",
     "sample-interval",
     "out",
     "json",
@@ -983,14 +975,6 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
         println!("  {:<17} {:>5.1}%", stage.as_str(), 100.0 * p.stage_share(stage));
     }
     println!("drained events      {} (max/mean shard skew {:.2})", p.drained_total(), p.drained_skew());
-    if p.intra_threads() > 0 {
-        println!("intra-run threads   {}", p.intra_threads());
-        let fmt = |v: Vec<u64>| {
-            v.iter().map(ToString::to_string).collect::<Vec<_>>().join(" ")
-        };
-        println!("  drained/thread    {}", fmt(p.drained_per_thread()));
-        println!("  busy cyc/thread   {}", fmt(p.busy_cycles_per_thread()));
-    }
     println!("fully quiescent     {} of {} cycles", p.fully_quiescent_cycles(), p.cycles());
     println!("profile slices      {} ({} dropped)", p.slices().len(), p.dropped_slices());
     if let Some((path, events)) = trace_events {
