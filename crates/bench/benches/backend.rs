@@ -19,7 +19,7 @@
 
 use clustered_bench::sweep::capture_for;
 use clustered_sim::{
-    CacheModel, FixedPolicy, HostProfiler, HostStage, Processor, SimConfig, SteeringKind,
+    drive, CacheModel, FixedPolicy, HostProfiler, HostStage, SimConfig, SteeringKind,
     DEFAULT_SAMPLE_INTERVAL,
 };
 use clustered_stats::Json;
@@ -33,24 +33,21 @@ const INSTRUCTIONS: u64 = 100_000;
 fn profiled_run(trace: &CapturedTrace, model: CacheModel, active: usize) -> (u64, u64, u64) {
     let mut cfg = SimConfig::default();
     cfg.cache.model = model;
-    let mut cpu = Processor::with_observer(
+    let run = drive(
         cfg,
         trace.compile().replay(),
         Box::new(FixedPolicy::new(active)),
         SteeringKind::default(),
         HostProfiler::new(DEFAULT_SAMPLE_INTERVAL),
+        WARMUP,
+        INSTRUCTIONS,
     )
     .expect("valid bench configuration");
-    cpu.run(WARMUP).expect("simulator stalled in warm-up");
-    let cycles_before = cpu.stats().cycles;
-    cpu.observer_mut().reset();
-    cpu.run(INSTRUCTIONS).expect("simulator stalled");
-    let cycles = cpu.stats().cycles - cycles_before;
-    let nanos = cpu.observer().stage_nanos();
+    let nanos = run.observer.stage_nanos();
     let backend = nanos[HostStage::EventDrain as usize]
         + nanos[HostStage::Issue as usize]
         + nanos[HostStage::Dispatch as usize];
-    (backend, cpu.observer().loop_nanos(), cycles)
+    (backend, run.observer.loop_nanos(), run.stats.cycles)
 }
 
 struct Case {

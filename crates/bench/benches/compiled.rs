@@ -1,5 +1,6 @@
 //! Compiled-replay bench: simulator wall-clock throughput of the
-//! pre-decoded [`CompiledTrace`] path against plain [`CapturedTrace`]
+//! pre-decoded [`CompiledTrace`](clustered_workloads::CompiledTrace)
+//! path against plain [`CapturedTrace`](clustered_workloads::CapturedTrace)
 //! replay (decode-on-the-fly through the blanket `TraceSource` impl).
 //!
 //! Both paths compute bit-identical schedules (pinned by
@@ -13,42 +14,30 @@
 //! CI `bench-cmp` self-compare gate prices.
 
 use clustered_bench::harness::Harness;
-use clustered_bench::run_stream;
 use clustered_bench::sweep::capture_for;
 use clustered_emu::{DecodedInst, TraceSource};
-use clustered_sim::{FixedPolicy, SimConfig, SimStats, SteeringKind};
-use clustered_workloads::{CapturedTrace, CompiledTrace};
+use clustered_sim::{drive, FixedPolicy, NullObserver, SimConfig, SimStats, SteeringKind};
 use std::hint::black_box;
 
 const WARMUP: u64 = 5_000;
 const INSTRUCTIONS: u64 = 100_000;
 
-fn config(configured: usize) -> SimConfig {
+/// One fixed-width run of `stream` on a `configured`-cluster machine.
+fn run(stream: impl TraceSource, configured: usize, active: usize) -> SimStats {
     let mut cfg = SimConfig::default();
     cfg.clusters.count = configured;
-    cfg
-}
-
-fn run_replay(trace: &CapturedTrace, configured: usize, active: usize) -> SimStats {
-    run_stream(
-        trace.replay(),
-        config(configured),
-        Box::new(FixedPolicy::new(active)),
+    let policy = Box::new(FixedPolicy::new(active));
+    drive(
+        cfg,
+        stream,
+        policy,
         SteeringKind::default(),
+        NullObserver,
         WARMUP,
         INSTRUCTIONS,
     )
-}
-
-fn run_compiled(compiled: &CompiledTrace, configured: usize, active: usize) -> SimStats {
-    run_stream(
-        compiled.replay(),
-        config(configured),
-        Box::new(FixedPolicy::new(active)),
-        SteeringKind::default(),
-        WARMUP,
-        INSTRUCTIONS,
-    )
+    .expect("valid bench configuration")
+    .stats
 }
 
 /// Drains `src` through [`TraceSource::next_run`] with a fetch-sized
@@ -107,18 +96,18 @@ fn main() {
         // Deterministic simulation: one untimed run pins the cycle
         // count every timed sample repeats — and the two paths must
         // agree on it, or the comparison is meaningless.
-        let cycles = run_replay(&trace, configured, active).cycles;
+        let cycles = run(trace.replay(), configured, active).cycles;
         assert_eq!(
             cycles,
-            run_compiled(&compiled, configured, active).cycles,
+            run(compiled.replay(), configured, active).cycles,
             "compiled path must simulate the identical schedule"
         );
         h.bench(&format!("compiled/{workload}_{shape}/replay"), || {
-            black_box(run_replay(&trace, configured, active));
+            black_box(run(trace.replay(), configured, active));
         });
         let replay_best = h.results().last().expect("case just ran").min();
         h.bench(&format!("compiled/{workload}_{shape}/compiled"), || {
-            black_box(run_compiled(&compiled, configured, active));
+            black_box(run(compiled.replay(), configured, active));
         });
         let compiled_best = h.results().last().expect("case just ran").min();
         rows.push((workload, shape, cycles, replay_best, compiled_best));

@@ -11,10 +11,9 @@
 //! fixed number of samples.
 
 use clustered_bench::harness::Harness;
-use clustered_bench::{run_experiment, run_experiment_with_steering};
-use clustered_core::phase::MetricsRecorder;
-use clustered_core::{FineGrain, IntervalDistantIlp, IntervalExplore};
-use clustered_sim::{CacheModel, FixedPolicy, Processor, SimConfig, SteeringKind, Topology};
+use clustered_bench::{run_experiment, run_experiment_with};
+use clustered_core::{FineGrain, IntervalDistantIlp, IntervalExplore, Recording};
+use clustered_sim::{CacheModel, FixedPolicy, NullObserver, SimConfig, SteeringKind, Topology};
 use clustered_workloads::by_name;
 use std::hint::black_box;
 
@@ -56,10 +55,16 @@ fn main() {
     });
 
     h.bench("table4_instability/metrics_recorder", || {
-        let (recorder, records) = MetricsRecorder::new(16, 1_000);
-        let stream = gzip.trace().map(Result::unwrap);
-        let mut cpu = Processor::new(SimConfig::default(), stream, Box::new(recorder)).unwrap();
-        cpu.run(INSTRUCTIONS).unwrap();
+        let (recorder, records) = Recording::new(FixedPolicy::new(16), 1_000);
+        run_experiment_with(
+            &gzip,
+            SimConfig::default(),
+            Box::new(recorder),
+            SteeringKind::default(),
+            NullObserver,
+            0,
+            INSTRUCTIONS,
+        );
         black_box(records.borrow().len());
     });
 
@@ -142,11 +147,12 @@ fn main() {
         ("first_fit", SteeringKind::FirstFit),
     ] {
         h.bench(&format!("ablation_steering/{name}"), || {
-            black_box(run_experiment_with_steering(
+            black_box(run_experiment_with(
                 &gzip,
                 SimConfig::default(),
                 Box::new(FixedPolicy::new(16)),
                 kind,
+                NullObserver,
                 WARMUP,
                 INSTRUCTIONS,
             ));

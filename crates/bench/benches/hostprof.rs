@@ -12,11 +12,10 @@
 //! `results/BENCH_hostprof.json` (schema in EXPERIMENTS.md).
 
 use clustered_bench::harness::Harness;
-use clustered_bench::run_stream;
 use clustered_bench::sweep::capture_for;
 use clustered_sim::{
-    FixedPolicy, HostProfiler, Processor, SimConfig, SimStats, SteeringKind,
-    DEFAULT_SAMPLE_INTERVAL,
+    drive, FixedPolicy, HostProfiler, NullObserver, SimConfig, SimObserver, SimStats,
+    SteeringKind, DEFAULT_SAMPLE_INTERVAL,
 };
 use clustered_workloads::CapturedTrace;
 use std::hint::black_box;
@@ -24,30 +23,12 @@ use std::hint::black_box;
 const WARMUP: u64 = 5_000;
 const INSTRUCTIONS: u64 = 100_000;
 
-fn run_off(trace: &CapturedTrace) -> SimStats {
-    run_stream(
-        trace.replay(),
-        SimConfig::default(),
-        Box::new(FixedPolicy::new(8)),
-        SteeringKind::default(),
-        WARMUP,
-        INSTRUCTIONS,
-    )
-}
-
-fn run_on(trace: &CapturedTrace) -> SimStats {
-    let mut cpu = Processor::with_observer(
-        SimConfig::default(),
-        trace.replay(),
-        Box::new(FixedPolicy::new(8)),
-        SteeringKind::default(),
-        HostProfiler::new(DEFAULT_SAMPLE_INTERVAL),
-    )
-    .expect("valid bench configuration");
-    cpu.run(WARMUP).expect("simulator stalled in warm-up");
-    let before = *cpu.stats();
-    cpu.run(INSTRUCTIONS).expect("simulator stalled");
-    cpu.stats().delta_since(&before)
+fn run<O: SimObserver>(trace: &CapturedTrace, observer: O) -> SimStats {
+    let policy = Box::new(FixedPolicy::new(8));
+    let steering = SteeringKind::default();
+    drive(SimConfig::default(), trace.replay(), policy, steering, observer, WARMUP, INSTRUCTIONS)
+        .expect("valid bench configuration")
+        .stats
 }
 
 fn main() {
@@ -57,16 +38,16 @@ fn main() {
 
     // The simulation is deterministic, and the profiler must not
     // perturb it: pin that here before timing anything.
-    let off = run_off(&trace);
-    let on = run_on(&trace);
+    let off = run(&trace, NullObserver);
+    let on = run(&trace, HostProfiler::new(DEFAULT_SAMPLE_INTERVAL));
     assert_eq!(off, on, "HostProfiler must not change simulation statistics");
 
     h.bench("hostprof/profiler_off", || {
-        black_box(run_off(&trace));
+        black_box(run(&trace, NullObserver));
     });
     let off_best = h.results().last().expect("case just ran").min();
     h.bench("hostprof/profiler_on", || {
-        black_box(run_on(&trace));
+        black_box(run(&trace, HostProfiler::new(DEFAULT_SAMPLE_INTERVAL)));
     });
     let on_best = h.results().last().expect("case just ran").min();
 

@@ -13,9 +13,8 @@
 //! baseline the ≥1.5× quiescence win is measured against.
 
 use clustered_bench::harness::Harness;
-use clustered_bench::run_stream;
 use clustered_bench::sweep::capture_for;
-use clustered_sim::{FixedPolicy, SimConfig, SimStats, SteeringKind};
+use clustered_sim::{drive, FixedPolicy, NullObserver, SimConfig, SimStats, SteeringKind};
 use clustered_workloads::CapturedTrace;
 use std::hint::black_box;
 
@@ -25,14 +24,10 @@ const INSTRUCTIONS: u64 = 100_000;
 fn run(trace: &CapturedTrace, configured: usize, active: usize) -> SimStats {
     let mut cfg = SimConfig::default();
     cfg.clusters.count = configured;
-    run_stream(
-        trace.replay(),
-        cfg,
-        Box::new(FixedPolicy::new(active)),
-        SteeringKind::default(),
-        WARMUP,
-        INSTRUCTIONS,
-    )
+    let policy = Box::new(FixedPolicy::new(active));
+    drive(cfg, trace.replay(), policy, SteeringKind::default(), NullObserver, WARMUP, INSTRUCTIONS)
+        .expect("valid bench configuration")
+        .stats
 }
 
 fn main() {

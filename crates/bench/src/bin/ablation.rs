@@ -13,14 +13,13 @@
 //! `DIR/<section>-<workload>.jsonl`.
 
 use clustered_bench::{
-    grid_provenance, measure_instructions, run_experiment_decisions,
-    run_experiment_with_steering, warmup_instructions, write_decisions_jsonl,
-    write_results_envelope,
+    decisions_dir, grid_provenance, measure_instructions, run_experiment_with,
+    warmup_instructions, write_decisions_jsonl, write_results_envelope,
 };
 use clustered_core::{IntervalDistantIlp, IntervalDistantIlpConfig, IntervalExplore, IntervalExploreConfig};
-use clustered_sim::{FixedPolicy, SimConfig, SteeringKind};
+use clustered_sim::{DecisionTrace, FixedPolicy, NullObserver, SimConfig, SteeringKind};
 use clustered_stats::{geometric_mean, Json, Provenance, Table};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// One suite pass: runs every workload under the given configuration
 /// and returns the geometric-mean IPC. When `dump` carries a decision
@@ -38,29 +37,25 @@ fn suite_geomean(
         .iter()
         .map(|w| match dump {
             Some((dir, label)) => {
-                let run = run_experiment_decisions(w, cfg, make(), steering, warmup, measure);
+                let trace = DecisionTrace::new();
+                let run = run_experiment_with(w, cfg, make(), steering, trace, warmup, measure);
                 let stem = format!("{label}-{}", w.name());
                 let prov = Provenance::new(w.name(), None, cfg.digest(), label);
-                if let Err(e) = write_decisions_jsonl(dir, &stem, Some(&prov), &run.decisions) {
+                let decisions = run.observer.decisions();
+                if let Err(e) = write_decisions_jsonl(dir, &stem, Some(&prov), decisions) {
                     eprintln!("cannot write decision trace for {stem}: {e}");
                     std::process::exit(1);
                 }
                 run.stats.ipc()
             }
-            None => run_experiment_with_steering(w, cfg, make(), steering, warmup, measure).ipc(),
+            None => {
+                run_experiment_with(w, cfg, make(), steering, NullObserver, warmup, measure)
+                    .stats
+                    .ipc()
+            }
         })
         .collect();
     geometric_mean(&ipcs).unwrap_or(0.0)
-}
-
-fn decisions_dir() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    args.iter().position(|a| a == "--decisions").map(|i| {
-        PathBuf::from(args.get(i + 1).unwrap_or_else(|| {
-            eprintln!("--decisions expects a directory argument");
-            std::process::exit(2);
-        }))
-    })
 }
 
 fn main() {

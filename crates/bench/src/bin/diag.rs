@@ -5,18 +5,12 @@
 //! receives each configuration's policy decision trace as
 //! `DIR/<workload>-<label>.jsonl`.
 
-use clustered_bench::{run_experiment_decisions, write_decisions_jsonl};
-use clustered_sim::{FixedPolicy, SimConfig, SteeringKind};
-use std::path::PathBuf;
+use clustered_bench::{decisions_dir, run_experiment_with, write_decisions_jsonl};
+use clustered_sim::{DecisionTrace, FixedPolicy, SimConfig, SteeringKind};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let decisions: Option<PathBuf> = args.iter().position(|a| a == "--decisions").map(|i| {
-        PathBuf::from(args.get(i + 1).unwrap_or_else(|| {
-            eprintln!("--decisions expects a directory argument");
-            std::process::exit(2);
-        }))
-    });
+    let decisions = decisions_dir();
     // First positional argument that is neither a flag nor the
     // directory following --decisions.
     let name = args
@@ -34,11 +28,12 @@ fn main() {
         ("c4", SimConfig::default(), 4),
         ("c16", SimConfig::default(), 16),
     ] {
-        let run = run_experiment_decisions(
+        let run = run_experiment_with(
             &w,
             cfg,
             Box::new(FixedPolicy::new(n)),
             SteeringKind::default(),
+            DecisionTrace::new(),
             30_000,
             150_000,
         );
@@ -74,10 +69,10 @@ fn main() {
                 cfg.digest(),
                 &format!("fixed{n}"),
             );
-            match write_decisions_jsonl(dir, &format!("{name}-{label}"), Some(&prov), &run.decisions)
-            {
+            let records = run.observer.decisions();
+            match write_decisions_jsonl(dir, &format!("{name}-{label}"), Some(&prov), records) {
                 Ok(path) => {
-                    println!("   decisions {} ({} records)", path.display(), run.decisions.len());
+                    println!("   decisions {} ({} records)", path.display(), records.len());
                 }
                 Err(e) => {
                     eprintln!("cannot write decision trace for {name}-{label}: {e}");

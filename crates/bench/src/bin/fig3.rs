@@ -7,27 +7,15 @@
 //! `--decisions DIR` dumps each grid point's policy decision trace to
 //! `DIR/<label>.jsonl`.
 
-use clustered_bench::sweep::{capture_for, jobs, run_sweep, run_point_decisions, run_sweep_with, SweepPoint};
-use clustered_bench::{
-    grid_provenance, measure_instructions, warmup_instructions, write_decisions_jsonl,
-    write_results_envelope,
+use clustered_bench::sweep::{
+    capture_for, jobs, run_point_with, run_sweep, run_sweep_with, SweepPoint,
 };
-use clustered_sim::{FixedPolicy, SimConfig, SimStats};
+use clustered_bench::{
+    decisions_dir, grid_provenance, measure_instructions, warmup_instructions,
+    write_decisions_jsonl, write_results_envelope,
+};
+use clustered_sim::{DecisionTrace, FixedPolicy, SimConfig, SimStats};
 use clustered_stats::{geometric_mean, Json, Provenance, Table};
-use std::path::PathBuf;
-
-/// Scans the raw argument list for `--decisions DIR` and returns the
-/// directory (shared by the three experiment binaries' ad-hoc
-/// parsers).
-fn decisions_dir() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    args.iter().position(|a| a == "--decisions").map(|i| {
-        PathBuf::from(args.get(i + 1).unwrap_or_else(|| {
-            eprintln!("--decisions expects a directory argument");
-            std::process::exit(2);
-        }))
-    })
-}
 
 fn main() {
     let json = std::env::args().skip(1).any(|a| a == "--json");
@@ -66,7 +54,7 @@ fn main() {
     let started = std::time::Instant::now();
     let stats: Vec<SimStats> = match &decisions {
         Some(dir) => {
-            let runs = run_sweep_with(&points, jobs(), run_point_decisions);
+            let runs = run_sweep_with(&points, jobs(), |p| run_point_with(p, DecisionTrace::new()));
             for (point, run) in points.iter().zip(&runs) {
                 // The label's `/suffix` names the fixed cluster count.
                 let policy = match point.label.rsplit('/').next() {
@@ -80,8 +68,8 @@ fn main() {
                     point.config_digest,
                     &policy,
                 );
-                if let Err(e) = write_decisions_jsonl(dir, &point.label, Some(&prov), &run.decisions)
-                {
+                let decisions = run.observer.decisions();
+                if let Err(e) = write_decisions_jsonl(dir, &point.label, Some(&prov), decisions) {
                     eprintln!("cannot write decision trace for {}: {e}", point.label);
                     std::process::exit(1);
                 }

@@ -8,9 +8,10 @@
 //! correspondingly smaller. The *ordering* across benchmarks (which
 //! programs need coarse intervals) is the reproduced result.
 
-use clustered_bench::{measure_instructions, warmup_instructions};
-use clustered_core::phase::{instability_factor, minimum_stable_interval, MetricsRecorder, StabilityThresholds};
-use clustered_sim::Processor;
+use clustered_bench::{measure_instructions, run_experiment_with, warmup_instructions};
+use clustered_core::phase::{instability_factor, minimum_stable_interval, StabilityThresholds};
+use clustered_core::Recording;
+use clustered_sim::{FixedPolicy, NullObserver, SimConfig, SteeringKind};
 use clustered_stats::Table;
 
 const BASE_INTERVAL: u64 = 1_000;
@@ -31,14 +32,19 @@ fn main() {
         "paper @10K",
     ]);
     for w in clustered_workloads::all() {
-        let (recorder, records) = MetricsRecorder::new(16, BASE_INTERVAL);
-        let stream = w.trace().map(|r| r.expect("workload cannot fault"));
-        let mut cpu =
-            Processor::new(clustered_sim::SimConfig::default(), stream, Box::new(recorder))
-                .expect("valid config");
-        cpu.run(warmup + measure).expect("no stall");
-        let records = records.borrow();
-        // Drop the warm-up portion.
+        let (recorder, timeline) = Recording::new(FixedPolicy::new(16), BASE_INTERVAL);
+        // One window over the whole run; the warm-up intervals are
+        // dropped from the records below.
+        run_experiment_with(
+            &w,
+            SimConfig::default(),
+            Box::new(recorder),
+            SteeringKind::default(),
+            NullObserver,
+            0,
+            warmup + measure,
+        );
+        let records: Vec<_> = timeline.borrow().iter().map(|e| e.record).collect();
         let skip = (warmup / BASE_INTERVAL) as usize;
         let records = &records[skip.min(records.len())..];
         let base_factor =

@@ -13,9 +13,9 @@ pub mod cmp;
 pub mod harness;
 pub mod sweep;
 
-use clustered_emu::TraceSource;
 use clustered_sim::{
-    DecisionRecord, DecisionTrace, Processor, ReconfigPolicy, SimConfig, SimStats, SteeringKind,
+    drive, DecisionRecord, NullObserver, ReconfigPolicy, Run, SimConfig, SimObserver, SimStats,
+    SteeringKind,
 };
 use clustered_stats::{Json, Provenance};
 use clustered_workloads::Workload;
@@ -98,113 +98,46 @@ pub fn run_experiment(
     warmup: u64,
     measure: u64,
 ) -> SimStats {
-    run_experiment_with_steering(workload, cfg, policy, SteeringKind::default(), warmup, measure)
+    let steering = SteeringKind::default();
+    run_experiment_with(workload, cfg, policy, steering, NullObserver, warmup, measure).stats
 }
 
-/// [`run_experiment`] with an explicit steering heuristic.
+/// [`run_experiment`] with an explicit steering heuristic and an
+/// observer watching the run (live emulation through
+/// [`drive`]): pass a [`DecisionTrace`](clustered_sim::DecisionTrace)
+/// to collect decision telemetry, or a pair of observers to watch the
+/// run several ways at once.
 ///
 /// # Panics
 ///
 /// As for [`run_experiment`].
-pub fn run_experiment_with_steering(
+pub fn run_experiment_with<O: SimObserver>(
     workload: &Workload,
     cfg: SimConfig,
     policy: Box<dyn ReconfigPolicy>,
     steering: SteeringKind,
+    observer: O,
     warmup: u64,
     measure: u64,
-) -> SimStats {
+) -> Run<O> {
     let stream = workload
         .trace()
         .map(|r| r.unwrap_or_else(|e| panic!("workload faulted during simulation: {e}")));
-    run_stream(stream, cfg, policy, steering, warmup, measure)
+    drive(cfg, stream, policy, steering, observer, warmup, measure)
+        .unwrap_or_else(|e| panic!("experiment run failed: {e}"))
 }
 
-/// Runs an arbitrary pre-decoded instruction `stream` under `cfg`,
-/// `policy` and `steering`, discarding a warm-up and returning
-/// statistics for the measured window — the shared core of
-/// [`run_experiment_with_steering`] (live emulation, via the blanket
-/// `TraceSource` impl for `Iterator<Item = DynInst>`) and the sweep
-/// executor's compiled-trace replay path ([`sweep::run_point`]).
-///
-/// # Panics
-///
-/// As for [`run_experiment`].
-pub fn run_stream<T: TraceSource>(
-    stream: T,
-    cfg: SimConfig,
-    policy: Box<dyn ReconfigPolicy>,
-    steering: SteeringKind,
-    warmup: u64,
-    measure: u64,
-) -> SimStats {
-    let mut cpu = Processor::with_steering(cfg, stream, policy, steering)
-        .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"));
-    cpu.run(warmup).unwrap_or_else(|e| panic!("simulator stalled in warm-up: {e}"));
-    let before = *cpu.stats();
-    cpu.run(measure).unwrap_or_else(|e| panic!("simulator stalled: {e}"));
-    cpu.stats().delta_since(&before)
-}
-
-/// One run's measured-window statistics plus its policy's decision
-/// trace — the payload of the experiment binaries' `--decisions`
-/// dumps.
-#[derive(Debug, Clone)]
-pub struct RunWithDecisions {
-    /// Measured-window statistics, identical to what [`run_stream`]
-    /// returns for the same inputs (collecting decisions does not
-    /// perturb the simulation).
-    pub stats: SimStats,
-    /// Every decision the policy recorded, warm-up included, in commit
-    /// order (capped at
-    /// [`DEFAULT_EVENT_CAP`](clustered_sim::DEFAULT_EVENT_CAP)).
-    pub decisions: Vec<DecisionRecord>,
-    /// Decision records dropped past the cap.
-    pub dropped_decisions: u64,
-}
-
-/// [`run_stream`] variant that also collects the policy's decision
-/// telemetry through a [`DecisionTrace`] observer.
-///
-/// # Panics
-///
-/// As for [`run_experiment`].
-pub fn run_stream_decisions<T: TraceSource>(
-    stream: T,
-    cfg: SimConfig,
-    policy: Box<dyn ReconfigPolicy>,
-    steering: SteeringKind,
-    warmup: u64,
-    measure: u64,
-) -> RunWithDecisions {
-    let mut cpu = Processor::with_observer(cfg, stream, policy, steering, DecisionTrace::new())
-        .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"));
-    cpu.run(warmup).unwrap_or_else(|e| panic!("simulator stalled in warm-up: {e}"));
-    let before = *cpu.stats();
-    cpu.run(measure).unwrap_or_else(|e| panic!("simulator stalled: {e}"));
-    let stats = cpu.stats().delta_since(&before);
-    let (decisions, dropped_decisions) = cpu.observer().clone().into_decisions();
-    RunWithDecisions { stats, decisions, dropped_decisions }
-}
-
-/// [`run_experiment_with_steering`] variant collecting decision
-/// telemetry (live emulation; see [`run_stream_decisions`]).
-///
-/// # Panics
-///
-/// As for [`run_experiment`].
-pub fn run_experiment_decisions(
-    workload: &Workload,
-    cfg: SimConfig,
-    policy: Box<dyn ReconfigPolicy>,
-    steering: SteeringKind,
-    warmup: u64,
-    measure: u64,
-) -> RunWithDecisions {
-    let stream = workload
-        .trace()
-        .map(|r| r.unwrap_or_else(|e| panic!("workload faulted during simulation: {e}")));
-    run_stream_decisions(stream, cfg, policy, steering, warmup, measure)
+/// Scans the command line for `--decisions DIR` and returns the
+/// directory: the experiment binaries dump each run's decision trace
+/// there. Exits with status 2 when the flag has no argument.
+pub fn decisions_dir() -> Option<PathBuf> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    args.iter().position(|a| a == "--decisions").map(|i| {
+        PathBuf::from(args.get(i + 1).unwrap_or_else(|| {
+            eprintln!("--decisions expects a directory argument");
+            std::process::exit(2);
+        }))
+    })
 }
 
 /// Turns an experiment-point label into a safe file stem: every
@@ -283,19 +216,21 @@ mod tests {
         let w = by_name("gzip").unwrap();
         let policy = || Box::new(clustered_core::IntervalDistantIlp::with_interval(1_000));
         let plain = run_experiment(&w, SimConfig::default(), policy(), 5_000, 20_000);
-        let with = run_experiment_decisions(
+        let with = run_experiment_with(
             &w,
             SimConfig::default(),
             policy(),
             SteeringKind::default(),
+            clustered_sim::DecisionTrace::new(),
             5_000,
             20_000,
         );
         assert_eq!(plain, with.stats, "collecting decisions must not perturb the simulation");
-        assert!(!with.decisions.is_empty(), "1k intervals over a 25k run must decide");
-        assert_eq!(with.dropped_decisions, 0);
+        let decisions = with.observer.decisions();
+        assert!(!decisions.is_empty(), "1k intervals over a 25k run must decide");
+        assert_eq!(with.observer.dropped(), 0);
         let mut last = 0;
-        for d in &with.decisions {
+        for d in decisions {
             assert!(d.commit > last, "records in commit order");
             last = d.commit;
         }

@@ -53,8 +53,9 @@
 //! assert!(stats.iter().all(|s| s.committed >= 5_000));
 //! ```
 
-use crate::{run_stream, run_stream_decisions, RunWithDecisions};
-use clustered_sim::{ReconfigPolicy, SimConfig, SimStats, SteeringKind};
+use clustered_sim::{
+    drive, NullObserver, ReconfigPolicy, Run, SimConfig, SimObserver, SimStats, SteeringKind,
+};
 use clustered_workloads::{CapturedTrace, CompiledTrace, Workload};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -178,9 +179,8 @@ pub fn jobs() -> usize {
 /// Runs one point: instantiates its policy, replays the compiled form
 /// of its captured trace (pre-decoded micro-ops, block-batched fetch),
 /// and returns the measured-window statistics (identical to
-/// [`run_experiment_with_steering`](crate::run_experiment_with_steering)
-/// on the live workload — the golden test in `tests/sweep.rs` pins
-/// this).
+/// [`run_experiment`](crate::run_experiment) on the live workload —
+/// the golden test in `tests/sweep.rs` pins this).
 ///
 /// # Panics
 ///
@@ -190,39 +190,27 @@ pub fn jobs() -> usize {
 /// configuration/stall conditions of
 /// [`run_experiment`](crate::run_experiment).
 pub fn run_point(point: &SweepPoint) -> SimStats {
-    let stats = run_stream(
-        point.compiled.replay(),
-        point.cfg,
-        (point.policy)(),
-        point.steering,
-        point.warmup,
-        point.measure,
-    );
-    assert!(
-        stats.committed >= point.measure || point.trace.ended_at_halt(),
-        "sweep point `{}`: captured trace ({} records) exhausted mid-run; \
-         capture a longer window",
-        point.label,
-        point.trace.len(),
-    );
-    stats
+    run_point_with(point, NullObserver).stats
 }
 
-/// [`run_point`] variant that also collects the policy's decision
-/// telemetry (the experiment binaries' `--decisions` runner).
+/// [`run_point`] with an observer watching the run, e.g. a
+/// [`DecisionTrace`](clustered_sim::DecisionTrace) for the experiment
+/// binaries' `--decisions` dumps.
 ///
 /// # Panics
 ///
 /// As for [`run_point`].
-pub fn run_point_decisions(point: &SweepPoint) -> RunWithDecisions {
-    let run = run_stream_decisions(
-        point.compiled.replay(),
+pub fn run_point_with<O: SimObserver>(point: &SweepPoint, observer: O) -> Run<O> {
+    let run = drive(
         point.cfg,
+        point.compiled.replay(),
         (point.policy)(),
         point.steering,
+        observer,
         point.warmup,
         point.measure,
-    );
+    )
+    .unwrap_or_else(|e| panic!("sweep point `{}` failed: {e}", point.label));
     assert!(
         run.stats.committed >= point.measure || point.trace.ended_at_halt(),
         "sweep point `{}`: captured trace ({} records) exhausted mid-run; \
@@ -432,7 +420,7 @@ impl SweepOutcome for SimStats {
     }
 }
 
-impl SweepOutcome for RunWithDecisions {
+impl<O> SweepOutcome for Run<O> {
     fn sim_cycles(&self) -> Option<u64> {
         Some(self.stats.cycles)
     }
@@ -464,8 +452,9 @@ pub fn run_sweep_jobs(points: &[SweepPoint], jobs: usize) -> Vec<SimStats> {
 /// to `jobs` worker threads and returns the results in input order.
 ///
 /// [`run_sweep`] is `run_sweep_with(points, jobs(), run_point)`; pass
-/// [`run_point_decisions`] to collect decision telemetry per point, or
-/// any custom closure whose result implements [`SweepOutcome`]. With
+/// `|p| run_point_with(p, DecisionTrace::new())` to collect decision
+/// telemetry per point, or any custom closure whose result implements
+/// [`SweepOutcome`]. With
 /// `CLUSTERED_PROGRESS=1` each completed point logs one stderr line
 /// (with cumulative elapsed time and an ETA) as it finishes, in
 /// completion (not input) order; with `CLUSTERED_PROGRESS=<path>.jsonl`

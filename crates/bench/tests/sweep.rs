@@ -11,9 +11,9 @@
 use clustered_bench::sweep::{
     capture_for, run_point, run_sweep_jobs, run_sweep_serial, SweepPoint,
 };
-use clustered_bench::{run_experiment, run_experiment_with_steering};
+use clustered_bench::{run_experiment, run_experiment_with};
 use clustered_core::{IntervalDistantIlp, IntervalExplore};
-use clustered_sim::{CacheModel, FixedPolicy, SimConfig, SteeringKind};
+use clustered_sim::{CacheModel, FixedPolicy, NullObserver, SimConfig, SteeringKind};
 
 const WARMUP: u64 = 2_000;
 const MEASURE: u64 = 20_000;
@@ -53,14 +53,16 @@ fn golden_replay_matches_live_emulation() {
 fn golden_replay_matches_live_adaptive_policy() {
     let w = clustered_workloads::by_name("crafty").unwrap();
     let trace = capture_for(&w, WARMUP, MEASURE);
-    let live = run_experiment_with_steering(
+    let live = run_experiment_with(
         &w,
         SimConfig::default(),
         Box::new(IntervalExplore::default()),
         SteeringKind::ModN(3),
+        NullObserver,
         WARMUP,
         MEASURE,
-    );
+    )
+    .stats;
     let point = SweepPoint::new(
         "crafty/explore",
         &trace,

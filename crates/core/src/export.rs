@@ -11,8 +11,9 @@
 //!   the Chrome trace-event format: every active-cluster configuration
 //!   is a duration (`"ph": "X"`) event, every reconfiguration an
 //!   instant (`"ph": "i"`) event, and every decentralized flush stall a
-//!   duration event on its own track. Policy decision telemetry adds
-//!   counter (`"ph": "C"`) tracks — active clusters, interval IPC, and
+//!   duration event on its own track. Policy decision records (from a
+//!   [`DecisionTrace`](clustered_sim::DecisionTrace) watching the same
+//!   run) add counter (`"ph": "C"`) tracks — active clusters, interval IPC, and
 //!   instability over time. Load the file in `chrome://tracing` or
 //!   <https://ui.perfetto.dev> to see the communication-parallelism
 //!   trade-off play out over time.
@@ -90,12 +91,11 @@ fn counter_event(name: &str, ts: u64, series: &str, value: f64) -> Json {
 ///
 /// Track 0 carries one duration event per active-cluster configuration
 /// span and one instant event per reconfiguration; track 1 carries the
-/// decentralized model's flush stalls. When the observer collected
-/// policy decision records, three counter tracks (`"ph": "C"`) are
-/// appended — `active clusters`, `interval IPC`, and `instability`,
-/// each sampled at every decision point. The result serializes to a
-/// JSON array loadable by `chrome://tracing` and Perfetto.
-pub fn chrome_trace(m: &MetricsObserver) -> Json {
+/// decentralized model's flush stalls. Each of the run's policy
+/// `decisions` appends three counter samples (`"ph": "C"`) — `active
+/// clusters`, `interval IPC`, and `instability`. The result serializes
+/// to a JSON array loadable by `chrome://tracing` and Perfetto.
+pub fn chrome_trace(m: &MetricsObserver, decisions: &[DecisionRecord]) -> Json {
     let mut events: Vec<Json> = Vec::new();
     // Configuration spans: from the run's start through each
     // reconfiguration to the final observed cycle.
@@ -140,7 +140,7 @@ pub fn chrome_trace(m: &MetricsObserver) -> Json {
             Json::object().set("stall_cycles", f.stall_cycles).set("writebacks", f.writebacks),
         ));
     }
-    for d in &m.decisions {
+    for d in decisions {
         events.push(counter_event("active clusters", d.cycle, "clusters", d.clusters as f64));
         events.push(counter_event("interval IPC", d.cycle, "ipc", d.ipc));
         events.push(counter_event("instability", d.cycle, "instability", d.instability));
@@ -158,12 +158,16 @@ fn metadata_event(name: &str, tid: u64, value: &str) -> Json {
         .set("args", Json::object().set("name", value))
 }
 
-/// Appends the host-profile events for `p` to `events`: per-slice
-/// `"ph": "X"` spans on one track per stage, `"ph": "C"` queue-depth
-/// counters, and `"ph": "M"` metadata naming the process after `label`
-/// (an arbitrary workload string — the serializer escapes it).
-fn push_host_events(events: &mut Vec<Json>, p: &HostProfiler, label: &str) {
-    events.push(metadata_event("process_name", 0, &format!("clustered host profile: {label}")));
+/// A [`HostProfiler`]'s timeline as a standalone Chrome trace-event
+/// array: one `"ph": "X"` span per stage per slice (tracks
+/// [`HOST_TID_BASE`]+stage), `"ph": "C"` counter tracks for
+/// calendar/overflow queue depth and busy clusters, and metadata
+/// events naming the process after `label` (an arbitrary workload
+/// string — the serializer escapes it) and the tracks. Timestamps are
+/// simulated cycles, as in [`chrome_trace`].
+pub fn host_chrome_trace(p: &HostProfiler, label: &str) -> Json {
+    let mut events =
+        vec![metadata_event("process_name", 0, &format!("clustered host profile: {label}"))];
     for (i, stage) in HostStage::ALL.iter().enumerate() {
         events.push(metadata_event(
             "thread_name",
@@ -200,29 +204,6 @@ fn push_host_events(events: &mut Vec<Json>, p: &HostProfiler, label: &str) {
             f64::from(s.busy_clusters),
         ));
     }
-}
-
-/// A [`HostProfiler`]'s timeline as a standalone Chrome trace-event
-/// array: one `"ph": "X"` span per stage per slice (tracks
-/// [`HOST_TID_BASE`]+stage), `"ph": "C"` counter tracks for
-/// calendar/overflow queue depth and busy clusters, and metadata
-/// events naming the tracks. Timestamps are simulated cycles, as in
-/// [`chrome_trace`].
-pub fn host_chrome_trace(p: &HostProfiler, label: &str) -> Json {
-    let mut events = Vec::new();
-    push_host_events(&mut events, p, label);
-    Json::Arr(events)
-}
-
-/// [`chrome_trace`] plus the host-profile tracks of
-/// [`host_chrome_trace`] in one document: guest configuration spans,
-/// reconfigurations, flushes, and decision counters interleaved with
-/// host stage-time spans and queue-depth counters on their own tracks.
-pub fn chrome_trace_with_host(m: &MetricsObserver, p: &HostProfiler, label: &str) -> Json {
-    let Json::Arr(mut events) = chrome_trace(m) else {
-        unreachable!("chrome_trace returns an array");
-    };
-    push_host_events(&mut events, p, label);
     Json::Arr(events)
 }
 
@@ -298,7 +279,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_has_spans_instants_and_flushes() {
-        let trace = chrome_trace(&observed_run());
+        let trace = chrome_trace(&observed_run(), &[]);
         let events = trace.as_arr().expect("trace is an array");
         // 2 configuration spans + 1 instant + 1 flush.
         assert_eq!(events.len(), 4);
@@ -323,8 +304,7 @@ mod tests {
     #[test]
     fn chrome_trace_decision_counters_use_counter_phase_only() {
         use clustered_sim::{DecisionReason, DecisionRecord, PolicyState};
-        let mut m = observed_run();
-        m.on_decision(&DecisionRecord {
+        let decision = DecisionRecord {
             interval: 1,
             commit: 10_000,
             start_cycle: 1,
@@ -338,8 +318,8 @@ mod tests {
             interval_length: 10_000,
             clusters: 4,
             reason: DecisionReason::Exploring,
-        });
-        let trace = chrome_trace(&m);
+        };
+        let trace = chrome_trace(&observed_run(), &[decision]);
         let events = trace.as_arr().expect("trace is an array");
         // The decision adds exactly three counter samples; the span /
         // instant / flush population is untouched.
@@ -368,9 +348,8 @@ mod tests {
     #[test]
     fn chrome_trace_round_trips_and_every_event_has_required_keys() {
         use clustered_sim::{DecisionReason, DecisionRecord, PolicyState};
-        let mut m = observed_run();
-        for i in 1..=3u64 {
-            m.on_decision(&DecisionRecord {
+        let decisions: Vec<DecisionRecord> = (1..=3u64)
+            .map(|i| DecisionRecord {
                 interval: i,
                 commit: i * 1_000,
                 start_cycle: (i - 1) * 50,
@@ -384,9 +363,9 @@ mod tests {
                 interval_length: 1_000,
                 clusters: 8,
                 reason: DecisionReason::StableNoChange,
-            });
-        }
-        let trace = chrome_trace(&m);
+            })
+            .collect();
+        let trace = chrome_trace(&observed_run(), &decisions);
         // Round-trip through the clustered_stats parser.
         let reparsed = json::parse(&trace.to_string_compact()).expect("valid trace JSON");
         assert_eq!(reparsed, trace);
@@ -466,50 +445,32 @@ mod tests {
         p
     }
 
-    /// Golden round-trip for the combined trace: host `ph:"X"` stage
-    /// spans and `ph:"C"` queue-depth counters mixed with the existing
-    /// guest spans/instants/counters, with a workload label that needs
+    /// Golden round-trip for the host trace: `ph:"X"` stage spans and
+    /// `ph:"C"` queue-depth counters, with a workload label that needs
     /// JSON string escaping.
     #[test]
-    fn combined_host_and_guest_trace_round_trips() {
-        use clustered_sim::{DecisionReason, DecisionRecord, PolicyState};
-        let mut m = observed_run();
-        m.on_decision(&DecisionRecord {
-            interval: 1,
-            commit: 10_000,
-            start_cycle: 1,
-            cycle: 200,
-            state: PolicyState::Stable,
-            ipc: 0.5,
-            branch_delta: 0,
-            memref_delta: 0,
-            instability: 0.0,
-            explored_ipc: Vec::new(),
-            interval_length: 10_000,
-            clusters: 8,
-            reason: DecisionReason::StableNoChange,
-        });
+    fn standalone_host_trace_has_only_host_events() {
         let label = "gzip \"ref\"\\input\n(tab\there)";
-        let trace = chrome_trace_with_host(&m, &profiled_host(), label);
+        let trace = host_chrome_trace(&profiled_host(), label);
 
         // The serialized document survives a parse round trip even with
         // quotes, backslashes, and control characters in the label.
-        let text = trace.to_string_compact();
-        let reparsed = json::parse(&text).expect("valid trace JSON");
+        let reparsed = json::parse(&trace.to_string_compact()).expect("valid trace JSON");
         assert_eq!(reparsed, trace);
         let events = reparsed.as_arr().expect("trace is an array");
 
-        // Guest population (4 span/instant/flush + 3 counters) is
-        // untouched; host adds 7 metadata + 2 slices × (6 spans + 3
-        // counters).
-        assert_eq!(events.len(), 7 + 7 + 2 * 9);
-        let host_spans: Vec<&Json> = events
-            .iter()
-            .filter(|e| {
-                e.get("ph").and_then(Json::as_str) == Some("X")
-                    && e.get("tid").and_then(Json::as_u64).is_some_and(|t| t >= HOST_TID_BASE)
-            })
-            .collect();
+        // 7 metadata + 2 slices × (6 spans + 3 counters).
+        assert_eq!(events.len(), 7 + 2 * 9);
+        for e in events {
+            let tid = e.get("tid").and_then(Json::as_u64);
+            let ph = e.get("ph").and_then(Json::as_str);
+            assert!(
+                ph == Some("C") || tid.is_some_and(|t| t >= HOST_TID_BASE) || tid == Some(0),
+                "unexpected event {e:?}"
+            );
+        }
+        let host_spans: Vec<&Json> =
+            events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("X")).collect();
         assert_eq!(host_spans.len(), 12, "6 stage spans per slice");
         assert_eq!(
             host_spans[0].get("name").and_then(Json::as_str),
@@ -522,17 +483,12 @@ mod tests {
             Some(400),
             "10 cycles × 40 ns of event drain"
         );
-
-        // Queue-depth counters land on their own ph:"C" tracks at the
-        // slice ends, alongside (not replacing) the guest counters.
         let counter_names: Vec<&str> = events
             .iter()
             .filter(|e| e.get("ph").and_then(Json::as_str) == Some("C"))
             .filter_map(|e| e.get("name").and_then(Json::as_str))
             .collect();
-        for name in
-            ["active clusters", "host calendar events", "host overflow events", "host busy clusters"]
-        {
+        for name in ["host calendar events", "host overflow events", "host busy clusters"] {
             assert!(counter_names.contains(&name), "missing counter track {name}");
         }
 
@@ -545,23 +501,6 @@ mod tests {
             process.get("args").and_then(|a| a.get("name")).and_then(Json::as_str),
             Some(format!("clustered host profile: {label}").as_str())
         );
-    }
-
-    #[test]
-    fn standalone_host_trace_has_only_host_events() {
-        let trace = host_chrome_trace(&profiled_host(), "plain");
-        let events = trace.as_arr().expect("array");
-        assert_eq!(events.len(), 7 + 2 * 9);
-        for e in events {
-            let tid = e.get("tid").and_then(Json::as_u64);
-            let ph = e.get("ph").and_then(Json::as_str);
-            assert!(
-                ph == Some("C") || tid.is_some_and(|t| t >= HOST_TID_BASE) || tid == Some(0),
-                "unexpected event {e:?}"
-            );
-        }
-        let reparsed = json::parse(&trace.to_string_pretty()).expect("valid trace JSON");
-        assert_eq!(reparsed, trace);
     }
 
     #[test]
@@ -593,7 +532,7 @@ mod tests {
         let mut m = MetricsObserver::new(50);
         m.on_cycle(1, 8, 0);
         m.on_cycle(400, 8, 0);
-        let trace = chrome_trace(&m);
+        let trace = chrome_trace(&m, &[]);
         let events = trace.as_arr().unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].get("name").and_then(Json::as_str), Some("8 clusters"));

@@ -56,8 +56,8 @@ mod recording;
 pub use distant::{IntervalDistantIlp, IntervalDistantIlpConfig};
 pub use explore::{IntervalExplore, IntervalExploreConfig};
 pub use export::{
-    chrome_trace, chrome_trace_with_host, decisions_jsonl, host_chrome_trace, host_profile_json,
-    timeline_jsonl, HOST_TID_BASE,
+    chrome_trace, decisions_jsonl, host_chrome_trace, host_profile_json, timeline_jsonl,
+    HOST_TID_BASE,
 };
 pub use finegrain::{FineGrain, FineGrainConfig, Trigger};
 pub use recording::{Recording, TimelineEntry};

@@ -3,13 +3,11 @@
 //! The paper characterises each benchmark by its *instability factor*:
 //! the fraction of intervals that differ significantly from the first
 //! interval of their phase, evaluated for a range of interval lengths.
-//! This module provides a recording policy that collects per-interval
-//! metrics during a simulation, and the analysis that derives
-//! instability factors from them.
-
-use clustered_sim::{CommitEvent, ReconfigPolicy};
-use std::cell::RefCell;
-use std::rc::Rc;
+//! This module holds the per-interval record and the analysis that
+//! derives instability factors from a run's records. A
+//! [`Recording`](crate::Recording) wrapped around a
+//! [`FixedPolicy`](clustered_sim::FixedPolicy) collects them during a
+//! simulation.
 
 /// Metrics of one base interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,85 +33,6 @@ impl IntervalRecord {
         self.cycles += other.cycles;
         self.branches += other.branches;
         self.memrefs += other.memrefs;
-    }
-}
-
-/// A pseudo-policy that never reconfigures but records per-interval
-/// metrics into a shared buffer, for offline analysis.
-///
-/// # Examples
-///
-/// ```
-/// use clustered_core::phase::MetricsRecorder;
-/// use clustered_sim::ReconfigPolicy;
-///
-/// let (recorder, records) = MetricsRecorder::new(16, 1_000);
-/// assert_eq!(recorder.initial_clusters(), 16);
-/// assert!(records.borrow().is_empty());
-/// ```
-#[derive(Debug)]
-pub struct MetricsRecorder {
-    clusters: usize,
-    base_interval: u64,
-    current: IntervalRecord,
-    start_cycle: u64,
-    out: Rc<RefCell<Vec<IntervalRecord>>>,
-}
-
-impl MetricsRecorder {
-    /// Creates a recorder pinned to `clusters`, sampling every
-    /// `base_interval` committed instructions. Returns the policy and
-    /// the shared buffer the records appear in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base_interval` is zero.
-    pub fn new(
-        clusters: usize,
-        base_interval: u64,
-    ) -> (MetricsRecorder, Rc<RefCell<Vec<IntervalRecord>>>) {
-        assert!(base_interval > 0, "base interval must be non-zero");
-        let out = Rc::new(RefCell::new(Vec::new()));
-        (
-            MetricsRecorder {
-                clusters,
-                base_interval,
-                current: IntervalRecord::default(),
-                start_cycle: 0,
-                out: Rc::clone(&out),
-            },
-            out,
-        )
-    }
-}
-
-impl ReconfigPolicy for MetricsRecorder {
-    fn name(&self) -> String {
-        format!("metrics-recorder/{}", self.base_interval)
-    }
-
-    fn initial_clusters(&self) -> usize {
-        self.clusters
-    }
-
-    fn on_commit(&mut self, event: &CommitEvent) -> Option<usize> {
-        if self.current.instructions == 0 && self.start_cycle == 0 {
-            self.start_cycle = event.cycle;
-        }
-        self.current.instructions += 1;
-        if event.is_branch {
-            self.current.branches += 1;
-        }
-        if event.is_memref {
-            self.current.memrefs += 1;
-        }
-        if self.current.instructions >= self.base_interval {
-            self.current.cycles = event.cycle.saturating_sub(self.start_cycle).max(1);
-            self.out.borrow_mut().push(self.current);
-            self.current = IntervalRecord::default();
-            self.start_cycle = event.cycle;
-        }
-        None
     }
 }
 
@@ -267,30 +186,5 @@ mod tests {
         let records = vec![record(500, 100, 300)];
         assert_eq!(instability_factor(&records, 1, &StabilityThresholds::default()), None);
         assert_eq!(instability_factor(&records, 2, &StabilityThresholds::default()), None);
-    }
-
-    #[test]
-    fn recorder_collects_intervals() {
-        let (mut rec, out) = MetricsRecorder::new(16, 100);
-        for seq in 1..=250u64 {
-            let e = CommitEvent {
-                seq,
-                pc: 0,
-                cycle: seq * 3,
-                is_branch: seq % 10 == 0,
-                is_cond_branch: false,
-                is_call: false,
-                is_return: false,
-                is_memref: seq % 4 == 0,
-                distant: false,
-                mispredicted: false,
-            };
-            assert_eq!(rec.on_commit(&e), None);
-        }
-        let records = out.borrow();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].instructions, 100);
-        assert_eq!(records[0].branches, 10);
-        assert!(records[0].cycles >= 297);
     }
 }

@@ -377,6 +377,11 @@ fn slice_json(s: &HostSlice) -> Json {
 impl crate::observe::SimObserver for HostProfiler {
     const WANTS_HOST_PROFILE: bool = true;
 
+    /// The profile describes the measured window only.
+    fn on_measure_start(&mut self) {
+        self.reset();
+    }
+
     fn on_stage_nanos(&mut self, nanos: &[u64; HOST_STAGE_COUNT]) {
         self.cycles += 1;
         for (bucket, n) in self.stage_nanos.iter_mut().zip(nanos) {

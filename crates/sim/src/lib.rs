@@ -92,7 +92,7 @@ pub use observe::{
     DecisionTrace, FlushEvent, IpcSample, MetricsObserver, NullObserver, ReconfigEvent,
     SimObserver, TransferKind, DEFAULT_EVENT_CAP,
 };
-pub use pipeline::{OccupancySnapshot, Processor, SimError};
+pub use pipeline::{drive, OccupancySnapshot, Processor, Run, SimError};
 pub use reconfig::{
     CommitEvent, FixedPolicy, ReconfigPolicy, DISTANT_DEPTH, FIXED_CHECKPOINT_COMMITS,
 };

@@ -13,7 +13,13 @@
 //! [`MetricsObserver`] is the batteries-included implementation behind
 //! `clustered trace`: histograms of ROB occupancy and transfer hops, a
 //! per-interval IPC timeline, and the reconfiguration event log the
-//! Chrome-trace exporter consumes.
+//! Chrome-trace exporter consumes. [`DecisionTrace`] keeps the policy's
+//! decision records.
+//!
+//! Observers compose: a pair `(A, B)` is itself an observer that
+//! forwards every hook to `A` and then to `B`, and opts into each
+//! `WANTS_*` gate either half asks for. `clustered trace` runs
+//! `(MetricsObserver, DecisionTrace)`; nest pairs for more.
 
 use crate::decision::DecisionRecord;
 use crate::reconfig::CommitEvent;
@@ -25,7 +31,7 @@ use clustered_stats::{Histogram, Json};
 /// Fine-grain policies can reconfigure at every branch, so unbounded
 /// logs would grow with run length; past the cap the first
 /// `DEFAULT_EVENT_CAP` events are kept and the rest only counted
-/// (`dropped_reconfigs` / `dropped_decisions`).
+/// ([`MetricsObserver::dropped_reconfigs`] / [`DecisionTrace::dropped`]).
 pub const DEFAULT_EVENT_CAP: usize = 65_536;
 
 /// What moved across the interconnect in an
@@ -82,6 +88,12 @@ pub trait SimObserver {
     /// opts in; like the host-profile hooks, auditing only *reads*
     /// machine state and can never perturb the simulated schedule.
     const WANTS_AUDIT: bool = false;
+
+    /// The warm-up is over and the measured window begins (called once
+    /// by [`drive`](crate::drive)). An observer that should describe
+    /// only the measured window discards what it collected so far.
+    #[inline(always)]
+    fn on_measure_start(&mut self) {}
 
     /// End of one simulated cycle.
     #[inline(always)]
@@ -185,6 +197,43 @@ pub struct NullObserver;
 
 impl SimObserver for NullObserver {}
 
+/// Forwards each listed hook to both halves of a pair, `.0` first.
+macro_rules! forward_to_both {
+    ($($hook:ident($($arg:ident: $ty:ty),*);)*) => {$(
+        #[inline(always)]
+        fn $hook(&mut self, $($arg: $ty),*) {
+            self.0.$hook($($arg),*);
+            self.1.$hook($($arg),*);
+        }
+    )*};
+}
+
+/// Two observers watching one run: every hook goes to `A`, then to
+/// `B`, and each gate is on when either half wants it. A half that
+/// did not opt into a gate receives only that hook's empty default.
+impl<A: SimObserver, B: SimObserver> SimObserver for (A, B) {
+    const WANTS_DECISIONS: bool = A::WANTS_DECISIONS || B::WANTS_DECISIONS;
+    const WANTS_HOST_PROFILE: bool = A::WANTS_HOST_PROFILE || B::WANTS_HOST_PROFILE;
+    const WANTS_AUDIT: bool = A::WANTS_AUDIT || B::WANTS_AUDIT;
+
+    forward_to_both! {
+        on_measure_start();
+        on_cycle(cycle: u64, active_clusters: usize, rob_occupancy: usize);
+        on_dispatch(cycle: u64, seq: u64, cluster: usize);
+        on_issue(cycle: u64, seq: u64, cluster: usize);
+        on_commit(event: &CommitEvent);
+        on_transfer(cycle: u64, kind: TransferKind, from: usize, to: usize, hops: u64);
+        on_cache_access(cycle: u64, bank: usize, write: bool, ready_at: u64);
+        on_reconfig(cycle: u64, from: usize, to: usize);
+        on_flush_stall(cycle: u64, stall_cycles: u64, writebacks: u64);
+        on_decision(decision: &DecisionRecord);
+        on_stage_nanos(nanos: &[u64; crate::host::HOST_STAGE_COUNT]);
+        on_queue_health(sample: &crate::host::QueueHealth);
+        on_event_drained(shard: usize);
+        on_audit(check: &crate::audit::AuditCheck<'_>);
+    }
+}
+
 /// One recorded active-cluster change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReconfigEvent {
@@ -220,7 +269,8 @@ pub struct IpcSample {
 
 /// The standard metrics-collecting observer: histograms, a
 /// reconfiguration log, and a coarse IPC timeline — everything the
-/// JSON/Chrome-trace exporters need in one pass.
+/// JSON/Chrome-trace exporters need in one pass. Pair it with a
+/// [`DecisionTrace`] to also keep the policy's decision records.
 #[derive(Debug, Clone)]
 pub struct MetricsObserver {
     interval_cycles: u64,
@@ -238,9 +288,6 @@ pub struct MetricsObserver {
     pub reconfigs: Vec<ReconfigEvent>,
     /// Every reconfiguration flush, in cycle order.
     pub flushes: Vec<FlushEvent>,
-    /// Policy decision records in commit order, capped at
-    /// `decision_cap` (first records kept).
-    pub decisions: Vec<DecisionRecord>,
     /// IPC timeline, one sample per `interval_cycles`.
     pub timeline: Vec<IpcSample>,
     /// Active clusters before the first event (set on the first cycle).
@@ -252,9 +299,7 @@ pub struct MetricsObserver {
     instructions_dispatched: u64,
     instructions_issued: u64,
     reconfig_cap: usize,
-    decision_cap: usize,
     dropped_reconfigs: u64,
-    dropped_decisions: u64,
 }
 
 impl MetricsObserver {
@@ -264,21 +309,17 @@ impl MetricsObserver {
     ///
     /// Panics if `interval_cycles` is zero.
     pub fn new(interval_cycles: u64) -> MetricsObserver {
-        MetricsObserver::with_caps(interval_cycles, DEFAULT_EVENT_CAP, DEFAULT_EVENT_CAP)
+        MetricsObserver::with_cap(interval_cycles, DEFAULT_EVENT_CAP)
     }
 
-    /// Like [`MetricsObserver::new`] but with explicit caps on the
-    /// reconfiguration and decision event logs. Events past a cap are
-    /// counted, not stored.
+    /// Like [`MetricsObserver::new`] but with an explicit cap on the
+    /// reconfiguration log. Events past the cap are counted, not
+    /// stored.
     ///
     /// # Panics
     ///
     /// Panics if `interval_cycles` is zero.
-    pub fn with_caps(
-        interval_cycles: u64,
-        reconfig_cap: usize,
-        decision_cap: usize,
-    ) -> MetricsObserver {
+    pub fn with_cap(interval_cycles: u64, reconfig_cap: usize) -> MetricsObserver {
         assert!(interval_cycles > 0, "interval must be non-zero");
         MetricsObserver {
             interval_cycles,
@@ -290,7 +331,6 @@ impl MetricsObserver {
             cache_latency: Histogram::log2(),
             reconfigs: Vec::new(),
             flushes: Vec::new(),
-            decisions: Vec::new(),
             timeline: Vec::new(),
             initial_clusters: 0,
             last_cycle: 0,
@@ -299,20 +339,13 @@ impl MetricsObserver {
             instructions_dispatched: 0,
             instructions_issued: 0,
             reconfig_cap,
-            decision_cap,
             dropped_reconfigs: 0,
-            dropped_decisions: 0,
         }
     }
 
     /// Reconfiguration events dropped after the log reached its cap.
     pub fn dropped_reconfigs(&self) -> u64 {
         self.dropped_reconfigs
-    }
-
-    /// Decision records dropped after the log reached its cap.
-    pub fn dropped_decisions(&self) -> u64 {
-        self.dropped_decisions
     }
 
     /// Instructions seen committing.
@@ -360,7 +393,6 @@ impl MetricsObserver {
                     .set("active_clusters", s.active_clusters)
             })
             .collect();
-        let decisions: Vec<Json> = self.decisions.iter().map(|d| d.to_json()).collect();
         Json::object()
             .set("interval_cycles", self.interval_cycles)
             .set("last_cycle", self.last_cycle)
@@ -375,15 +407,11 @@ impl MetricsObserver {
             .set("reconfigurations", Json::Arr(reconfigs))
             .set("dropped_reconfigs", self.dropped_reconfigs)
             .set("flushes", Json::Arr(flushes))
-            .set("decisions", Json::Arr(decisions))
-            .set("dropped_decisions", self.dropped_decisions)
             .set("timeline", Json::Arr(timeline))
     }
 }
 
 impl SimObserver for MetricsObserver {
-    const WANTS_DECISIONS: bool = true;
-
     fn on_cycle(&mut self, cycle: u64, active_clusters: usize, rob_occupancy: usize) {
         if self.initial_clusters == 0 {
             self.initial_clusters = active_clusters;
@@ -434,20 +462,11 @@ impl SimObserver for MetricsObserver {
     fn on_flush_stall(&mut self, cycle: u64, stall_cycles: u64, writebacks: u64) {
         self.flushes.push(FlushEvent { cycle, stall_cycles, writebacks });
     }
-
-    fn on_decision(&mut self, decision: &DecisionRecord) {
-        if self.decisions.len() < self.decision_cap {
-            self.decisions.push(decision.clone());
-        } else {
-            self.dropped_decisions += 1;
-        }
-    }
 }
 
-/// A lightweight observer collecting only policy decision records —
-/// the backing store for `clustered explain` and the `--decisions`
-/// dumps, where the full [`MetricsObserver`] histogram machinery is
-/// unnecessary overhead.
+/// An observer collecting policy decision records — the backing store
+/// for `clustered explain`, the `--decisions` dumps, and (paired with
+/// a [`MetricsObserver`]) the counter tracks of `clustered trace`.
 #[derive(Debug, Clone)]
 pub struct DecisionTrace {
     decisions: Vec<DecisionRecord>,
@@ -614,8 +633,6 @@ mod tests {
                 "reconfigurations",
                 "dropped_reconfigs",
                 "flushes",
-                "decisions",
-                "dropped_decisions",
                 "timeline"
             ]
         );
@@ -623,7 +640,7 @@ mod tests {
 
     #[test]
     fn reconfig_log_caps_and_counts_the_overflow() {
-        let mut m = MetricsObserver::with_caps(100, 3, 3);
+        let mut m = MetricsObserver::with_cap(100, 3);
         for i in 0..10u64 {
             m.on_reconfig(i, 4, 8);
         }
@@ -634,19 +651,6 @@ mod tests {
         let j = m.to_json();
         assert_eq!(j.get("dropped_reconfigs").unwrap().as_u64(), Some(7));
         assert_eq!(j.get("reconfigurations").unwrap().as_arr().unwrap().len(), 3);
-    }
-
-    #[test]
-    fn decision_log_caps_and_counts_the_overflow() {
-        let mut m = MetricsObserver::with_caps(100, 3, 2);
-        for i in 1..=5u64 {
-            m.on_decision(&decision(i));
-        }
-        assert_eq!(m.decisions.len(), 2);
-        assert_eq!(m.dropped_decisions(), 3);
-        let j = m.to_json();
-        assert_eq!(j.get("decisions").unwrap().as_arr().unwrap().len(), 2);
-        assert_eq!(j.get("dropped_decisions").unwrap().as_u64(), Some(3));
     }
 
     #[test]

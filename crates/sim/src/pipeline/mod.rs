@@ -10,8 +10,9 @@
 //!
 //! # Module layout
 //!
-//! This module holds the shared machine state ([`Processor`]) and the
-//! cycle loop ([`Processor::run`]/`step_cycle`); each pipeline stage
+//! This module holds the shared machine state ([`Processor`]), the
+//! cycle loop ([`Processor::run`]/`step_cycle`) and [`drive`], the one
+//! warm-up → measure sequence every caller runs; each pipeline stage
 //! lives in its own submodule operating on that state:
 //!
 //! - `domain` — the per-cluster [`ClusterDomain`]: the state one
@@ -511,6 +512,11 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
         &mut self.observer
     }
 
+    /// Consumes the processor, returning its observer.
+    pub fn into_observer(self) -> O {
+        self.observer
+    }
+
     /// The current cycle.
     pub fn cycle(&self) -> u64 {
         self.now
@@ -694,6 +700,76 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
         self.domains[cluster].sched.enqueue(group, ready_at, seq);
         self.queued_mask |= 1 << cluster;
     }
+}
+
+/// What [`drive`] returns: the measured window's statistics and the
+/// observer that watched the whole run.
+#[derive(Debug, Clone)]
+pub struct Run<O> {
+    /// Statistics of the measured window only.
+    pub stats: SimStats,
+    /// `Some(committed)` when the program finished inside the warm-up
+    /// (the measured window is then empty).
+    pub ended_in_warmup: Option<u64>,
+    /// Host wall-clock seconds the measured window took.
+    pub measure_seconds: f64,
+    /// The observer, after the run.
+    pub observer: O,
+}
+
+/// Builds a processor, runs `warmup` instructions, tells the observer
+/// the measured window begins
+/// ([`on_measure_start`](SimObserver::on_measure_start)), runs
+/// `measure` more, and returns the measured window's statistics.
+///
+/// Every CLI verb, experiment runner and sweep point simulates through
+/// this one sequence. Pass `warmup = 0` to observe and count the whole
+/// run in one window.
+///
+/// # Errors
+///
+/// [`SimError::Config`] if `cfg` fails validation;
+/// [`SimError::Stalled`] if the pipeline stops making progress.
+///
+/// # Examples
+///
+/// ```
+/// use clustered_sim::{drive, FixedPolicy, NullObserver, SimConfig, SteeringKind};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let w = clustered_workloads::by_name("gzip").expect("known workload");
+/// let stream = w.trace().map(Result::unwrap);
+/// let policy = Box::new(FixedPolicy::new(4));
+/// let steering = SteeringKind::default();
+/// let run = drive(SimConfig::default(), stream, policy, steering, NullObserver, 2_000, 10_000)?;
+/// assert!(run.stats.committed >= 10_000);
+/// assert_eq!(run.ended_in_warmup, None);
+/// # Ok(())
+/// # }
+/// ```
+pub fn drive<T: TraceSource, O: SimObserver>(
+    cfg: SimConfig,
+    trace: T,
+    policy: Box<dyn ReconfigPolicy>,
+    steering: SteeringKind,
+    observer: O,
+    warmup: u64,
+    measure: u64,
+) -> Result<Run<O>, SimError> {
+    let mut cpu = Processor::with_observer(cfg, trace, policy, steering, observer)?;
+    cpu.run(warmup)?;
+    let ended_in_warmup = cpu.finished().then_some(cpu.stats.committed);
+    cpu.observer.on_measure_start();
+    let before = cpu.stats;
+    let clock = std::time::Instant::now();
+    cpu.run(measure)?;
+    let measure_seconds = clock.elapsed().as_secs_f64();
+    Ok(Run {
+        stats: cpu.stats.delta_since(&before),
+        ended_in_warmup,
+        measure_seconds,
+        observer: cpu.into_observer(),
+    })
 }
 
 impl<T, O> fmt::Debug for Processor<T, O> {

@@ -1,10 +1,10 @@
 //! End-to-end checks that [`MetricsObserver`] sees the same machine
-//! the statistics counters describe, and that the observer seam does
-//! not perturb simulation results.
+//! the statistics counters describe, and that the observer seam —
+//! composed observers included — does not perturb simulation results.
 
 use clustered_sim::{
-    CacheModel, FixedPolicy, MetricsObserver, Processor, ReconfigPolicy, SimConfig, SimStats,
-    SteeringKind,
+    drive, AuditObserver, CacheModel, DecisionTrace, FixedPolicy, HostProfiler, MetricsObserver,
+    NullObserver, Processor, ReconfigPolicy, Run, SimConfig, SimObserver, SimStats, SteeringKind,
 };
 use clustered_workloads::by_name;
 
@@ -89,6 +89,15 @@ fn observer_sees_decentralized_reconfigurations_and_flushes() {
     }
 }
 
+/// gzip on fixed-8 through [`drive`]: 5k warm-up, 20k measured.
+fn drive_gzip<O: SimObserver>(observer: O) -> Run<O> {
+    let w = by_name("gzip").expect("gzip workload exists");
+    let stream = w.trace().map(Result::unwrap);
+    let policy = Box::new(FixedPolicy::new(8));
+    drive(SimConfig::default(), stream, policy, SteeringKind::default(), observer, 5_000, 20_000)
+        .expect("valid config, no stall")
+}
+
 #[test]
 fn observed_and_unobserved_runs_are_identical() {
     let w = by_name("gzip").expect("gzip workload exists");
@@ -98,4 +107,23 @@ fn observed_and_unobserved_runs_are_identical() {
     let baseline = plain.run(20_000).expect("no stall");
     let (observed, _) = run_observed(SimConfig::default(), Box::new(FixedPolicy::new(8)), 20_000);
     assert_eq!(baseline, observed, "observer must not change simulated behaviour");
+
+    // Composed observers see one run several ways at once, and still
+    // leave the schedule untouched.
+    let plain = drive_gzip(NullObserver);
+    let audited = drive_gzip((AuditObserver::new(), HostProfiler::new(1_000)));
+    assert_eq!(plain.stats, audited.stats, "audit + profile must not perturb the run");
+    let (auditor, profiler) = &audited.observer;
+    assert!(auditor.is_clean(), "violations: {:?}", auditor.violations());
+    assert_eq!(
+        profiler.cycles(),
+        audited.stats.cycles,
+        "the profiler resets when the measured window starts"
+    );
+
+    let traced = drive_gzip((MetricsObserver::new(1_000), DecisionTrace::new()));
+    assert_eq!(plain.stats, traced.stats, "metrics + decisions must not perturb the run");
+    let decided = drive_gzip(DecisionTrace::new());
+    assert!(!decided.observer.decisions().is_empty(), "fixed-8 checkpoints every 10k commits");
+    assert_eq!(traced.observer.1.decisions(), decided.observer.decisions());
 }

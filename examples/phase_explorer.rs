@@ -1,5 +1,5 @@
-//! Phase analysis of a workload: samples per-interval metrics with the
-//! Table 4 recorder, prints the instability factor at a range of
+//! Phase analysis of a workload: samples per-interval metrics with a
+//! recording fixed 16-cluster policy (as Table 4 does), prints the instability factor at a range of
 //! interval lengths, and reports the interval length the Figure 4
 //! algorithm would settle on.
 //!
@@ -8,9 +8,10 @@
 //! ```
 
 use clustered::policies::phase::{
-    instability_factor, minimum_stable_interval, MetricsRecorder, StabilityThresholds,
+    instability_factor, minimum_stable_interval, StabilityThresholds,
 };
-use clustered::sim::{Processor, SimConfig};
+use clustered::policies::Recording;
+use clustered::sim::{drive, FixedPolicy, NullObserver, SimConfig, SteeringKind};
 use clustered::workloads;
 
 const BASE_INTERVAL: u64 = 1_000;
@@ -24,11 +25,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     println!("Phase behaviour of `{name}` ({INSTRUCTIONS} instructions, 16 clusters)\n");
 
-    let (recorder, records) = MetricsRecorder::new(16, BASE_INTERVAL);
+    let (recorder, timeline) = Recording::new(FixedPolicy::new(16), BASE_INTERVAL);
     let stream = w.trace().map(|r| r.expect("kernel is endless"));
-    let mut cpu = Processor::new(SimConfig::default(), stream, Box::new(recorder))?;
-    cpu.run(INSTRUCTIONS)?;
-    let records = records.borrow();
+    let (cfg, steering) = (SimConfig::default(), SteeringKind::default());
+    drive(cfg, stream, Box::new(recorder), steering, NullObserver, 0, INSTRUCTIONS)?;
+    let records: Vec<_> = timeline.borrow().iter().map(|e| e.record).collect();
 
     let thresholds = StabilityThresholds::default();
     println!("{:>16} {:>12}", "interval length", "instability");

@@ -23,9 +23,10 @@ echo "==> schedule oracles under debug assertions"
 #
 # host_profile runs the cycle loop with and without the host profiler
 # compiled in and requires identical stats, so the one loop body is
-# checked under the same debug assertions in both builds.
+# checked under the same debug assertions in both builds;
+# observer_integration does the same for composed observer pairs.
 cargo test --quiet --test shard_equivalence --test compiled_replay
-cargo test --quiet -p clustered-sim --test host_profile
+cargo test --quiet -p clustered-sim --test host_profile --test observer_integration
 
 echo "==> flat-scheduler property suite (slow-tests feature)"
 # Model-based equivalence of Cluster::select against the reference
@@ -51,6 +52,15 @@ ls "$CACHE_TMP/traces/"*.ctrace > /dev/null  # the cold run must populate the ca
 CLUSTERED_TRACE_CACHE="$CACHE_TMP/traces" CLUSTERED_MEASURE=20000 CLUSTERED_WARMUP=2000 \
     ./target/release/fig3 > "$CACHE_TMP/warm.txt"
 cmp "$CACHE_TMP/cold.txt" "$CACHE_TMP/warm.txt"
+
+echo "==> fig3 --decisions smoke (sweep points with a decision observer)"
+# The grid's decision dump goes through sweep::run_point_with and the
+# shared --decisions parser. A point's trace is the provenance header
+# plus the fixed policy's 10k-commit checkpoints, so it must hold more
+# than one line.
+CLUSTERED_TRACE_CACHE="$CACHE_TMP/traces" CLUSTERED_MEASURE=20000 CLUSTERED_WARMUP=2000 \
+    ./target/release/fig3 --decisions "$CACHE_TMP/dec" > /dev/null
+test "$(wc -l < "$CACHE_TMP/dec/gzip-16.jsonl")" -gt 1
 
 echo "==> explain smoke (decision telemetry end to end)"
 # One short run per policy family plus a JSONL dump: `explain` must

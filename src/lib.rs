@@ -16,18 +16,22 @@
 //!
 //! ```
 //! use clustered::policies::IntervalExplore;
-//! use clustered::sim::{Processor, SimConfig};
+//! use clustered::sim::{drive, NullObserver, SimConfig, SteeringKind};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let workload = clustered::workloads::by_name("gzip").expect("known workload");
 //! let stream = workload.trace().map(Result::unwrap);
-//! let mut cpu = Processor::new(
+//! let run = drive(
 //!     SimConfig::default(),
 //!     stream,
 //!     Box::new(IntervalExplore::default()),
+//!     SteeringKind::default(),
+//!     NullObserver,
+//!     10_000, // warm-up
+//!     50_000, // measured
 //! )?;
-//! let stats = cpu.run(50_000)?;
-//! println!("IPC {:.2} with {} clusters", stats.ipc(), cpu.active_clusters());
+//! let stats = run.stats;
+//! println!("IPC {:.2}, {:.1} clusters on average", stats.ipc(), stats.avg_active_clusters());
 //! # Ok(())
 //! # }
 //! ```

@@ -14,18 +14,16 @@
 //! clustered phases --workload gzip  # Table-4 style instability report
 //! ```
 
-use clustered::policies::phase::{
-    instability_factor, MetricsRecorder, StabilityThresholds,
-};
+use clustered::policies::phase::{instability_factor, StabilityThresholds};
 use clustered::policies::{
     chrome_trace, decisions_jsonl, host_chrome_trace, host_profile_json, timeline_jsonl, FineGrain,
     IntervalDistantIlp, IntervalExplore, Recording,
 };
 use clustered::sim::{
-    estimate_energy, AuditObserver, CacheModel, DecisionReason, DecisionRecord, DecisionTrace,
-    EnergyParams, FixedPolicy, HostProfiler, HostStage, MetricsObserver, PolicyState, Processor,
-    ReconfigPolicy, SimConfig, SimStats, SteeringKind, Topology, DEFAULT_EVENT_CAP,
-    DEFAULT_SAMPLE_INTERVAL,
+    drive, estimate_energy, AuditObserver, CacheModel, DecisionReason, DecisionRecord,
+    DecisionTrace, EnergyParams, FixedPolicy, HostProfiler, HostStage, MetricsObserver,
+    NullObserver, PolicyState, ReconfigPolicy, SimConfig, SteeringKind, Topology,
+    DEFAULT_EVENT_CAP, DEFAULT_SAMPLE_INTERVAL,
 };
 use clustered::stats::{
     append_entry, diff_docs, envelope, read_ledger, Json, LedgerEntry, LedgerReport, Provenance,
@@ -63,24 +61,6 @@ fn main() -> ExitCode {
             eprintln!("error: {message}");
             ExitCode::from(2)
         }
-    }
-}
-
-/// Adapter letting `Recording` wrap an already-boxed policy.
-struct BoxedPolicy(Box<dyn ReconfigPolicy>);
-
-impl ReconfigPolicy for BoxedPolicy {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-    fn initial_clusters(&self) -> usize {
-        self.0.initial_clusters()
-    }
-    fn on_commit(&mut self, event: &clustered::sim::CommitEvent) -> Option<usize> {
-        self.0.on_commit(event)
-    }
-    fn take_decision(&mut self) -> Option<DecisionRecord> {
-        self.0.take_decision()
     }
 }
 
@@ -340,68 +320,43 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 
     let (policy, timeline): (Box<dyn ReconfigPolicy>, _) = match flags.get("csv") {
         Some(_) => {
-            let (wrapped, out) = Recording::new(BoxedPolicy(policy), 1_000);
+            let (wrapped, out) = Recording::new(policy, 1_000);
             (Box::new(wrapped), Some(out))
         }
         None => (policy, None),
     };
     // Pre-decode once, then simulate off the compiled table: identical
-    // results to plain replay, cheaper per instruction. The audited
-    // run duplicates the drive sequence with an `AuditObserver` plugged
-    // in — the processor's observer is a type parameter, so the two
-    // branches build distinct monomorphisations (the unaudited one
-    // keeps the zero-cost `NullObserver` path).
+    // results to plain replay, cheaper per instruction. Without --audit
+    // the run keeps the zero-cost `NullObserver` loop.
     let stream = trace.compile().replay();
+    let steering = SteeringKind::default();
     let wall = std::time::Instant::now();
-    let short_run = |committed: u64| {
-        format!(
+    let (s, ended_in_warmup, auditor) = match audit {
+        None => drive(cfg, stream, policy, steering, NullObserver, warmup, instructions)
+            .map(|run| (run.stats, run.ended_in_warmup, None)),
+        Some(_) => drive(cfg, stream, policy, steering, AuditObserver::new(), warmup, instructions)
+            .map(|run| (run.stats, run.ended_in_warmup, Some(run.observer))),
+    }
+    .map_err(|e| e.to_string())?;
+    if let Some(committed) = ended_in_warmup {
+        return Err(format!(
             "program ended after {committed} instructions, inside the \
              {warmup}-instruction warm-up; rerun with a smaller --warmup"
-        )
-    };
-    let (s, audit_doc): (SimStats, Option<Json>) = match audit {
-        None => {
-            let mut cpu = Processor::new(cfg, stream, policy).map_err(|e| e.to_string())?;
-            cpu.run(warmup).map_err(|e| e.to_string())?;
-            if cpu.finished() {
-                return Err(short_run(cpu.stats().committed));
-            }
-            let before = *cpu.stats();
-            cpu.run(instructions).map_err(|e| e.to_string())?;
-            (cpu.stats().delta_since(&before), None)
+        ));
+    }
+    if let Some(auditor) = auditor.as_ref().filter(|a| !a.is_clean()) {
+        for v in auditor.violations() {
+            eprintln!("audit violation: {v}");
         }
-        Some(strict) => {
-            let mut cpu = Processor::with_observer(
-                cfg,
-                stream,
-                policy,
-                SteeringKind::default(),
-                AuditObserver::new(),
-            )
-            .map_err(|e| e.to_string())?;
-            cpu.run(warmup).map_err(|e| e.to_string())?;
-            if cpu.finished() {
-                return Err(short_run(cpu.stats().committed));
-            }
-            let before = *cpu.stats();
-            cpu.run(instructions).map_err(|e| e.to_string())?;
-            let s = cpu.stats().delta_since(&before);
-            let auditor = cpu.observer();
-            if !auditor.is_clean() {
-                for v in auditor.violations() {
-                    eprintln!("audit violation: {v}");
-                }
-                if strict {
-                    return Err(format!(
-                        "audit: {} violation(s) across {} checks",
-                        auditor.violations().len(),
-                        auditor.checks_run()
-                    ));
-                }
-            }
-            (s, Some(auditor.to_json()))
+        if audit == Some(true) {
+            return Err(format!(
+                "audit: {} violation(s) across {} checks",
+                auditor.violations().len(),
+                auditor.checks_run()
+            ));
         }
-    };
+    }
+    let audit_doc = auditor.map(|a| a.to_json());
     let prov = Provenance::new(
         workload_name.as_str(),
         Some(trace.checksum()),
@@ -551,29 +506,23 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     // Unlike `run`, the trace covers the whole execution including the
     // warm-up: a timeline with a hole at the start is more confusing
     // than one marked from cycle 0.
-    let (policy, timeline) = Recording::new(BoxedPolicy(policy), interval);
+    let (policy, timeline) = Recording::new(policy, interval);
     let stream =
         workloads::CapturedTrace::for_window(&workload, warmup, instructions).compile().replay();
-    let mut cpu = Processor::with_observer(
-        cfg,
-        stream,
-        Box::new(policy),
-        SteeringKind::default(),
-        MetricsObserver::new(interval),
-    )
-    .map_err(|e| e.to_string())?;
-    cpu.run(warmup + instructions).map_err(|e| e.to_string())?;
-    let s = *cpu.stats();
+    let observer = (MetricsObserver::new(interval), DecisionTrace::new());
+    let (policy, steering) = (Box::new(policy), SteeringKind::default());
+    let run = drive(cfg, stream, policy, steering, observer, 0, warmup + instructions)
+        .map_err(|e| e.to_string())?;
+    let (s, (metrics, decisions)) = (run.stats, run.observer);
 
-    let (dropped_reconfigs, dropped_decisions) =
-        (cpu.observer().dropped_reconfigs(), cpu.observer().dropped_decisions());
+    let (dropped_reconfigs, dropped_decisions) = (metrics.dropped_reconfigs(), decisions.dropped());
     if dropped_reconfigs + dropped_decisions > 0 {
         println!(
             "warning: the metrics observer dropped {dropped_reconfigs} reconfiguration and \
              {dropped_decisions} decision records past its event cap; the trace is truncated"
         );
     }
-    let trace = chrome_trace(cpu.observer());
+    let trace = chrome_trace(&metrics, decisions.decisions());
     let events = trace.as_arr().map_or(0, <[Json]>::len);
     std::fs::write(out_path, trace.to_string_pretty())
         .map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
@@ -698,17 +647,11 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
         workloads::env_cache_dir().as_deref(),
     );
     let stream = trace.compile().replay();
-    let mut cpu = Processor::with_observer(
-        cfg,
-        stream,
-        policy,
-        SteeringKind::default(),
-        DecisionTrace::with_cap(cap),
-    )
-    .map_err(|e| e.to_string())?;
-    cpu.run(warmup + instructions).map_err(|e| e.to_string())?;
-    let s = *cpu.stats();
-    let (decisions, dropped) = cpu.observer().clone().into_decisions();
+    let (steering, observer) = (SteeringKind::default(), DecisionTrace::with_cap(cap));
+    let run = drive(cfg, stream, policy, steering, observer, 0, warmup + instructions)
+        .map_err(|e| e.to_string())?;
+    let s = run.stats;
+    let (decisions, dropped) = run.observer.into_decisions();
     if dropped > 0 {
         println!(
             "warning: {dropped} decision records dropped past the {cap}-record cap; \
@@ -915,25 +858,13 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
         workloads::env_cache_dir().as_deref(),
     );
     let label = format!("{} ({policy_name})", trace.name());
+    // The profiler resets when the measured window starts, so shares
+    // and throughput describe the measured window only.
     let stream = trace.compile().replay();
-    let mut cpu = Processor::with_observer(
-        cfg,
-        stream,
-        policy,
-        SteeringKind::default(),
-        HostProfiler::new(sample_interval),
-    )
-    .map_err(|e| e.to_string())?;
-    cpu.run(warmup).map_err(|e| e.to_string())?;
-    // Discard the warm-up from the profile so shares and throughput
-    // describe the measured window only.
-    cpu.observer_mut().reset();
-    let before = *cpu.stats();
-    let wall = std::time::Instant::now();
-    cpu.run(instructions).map_err(|e| e.to_string())?;
-    let wall_seconds = wall.elapsed().as_secs_f64();
-    let s = cpu.stats().delta_since(&before);
-    let p = cpu.observer();
+    let profiler = HostProfiler::new(sample_interval);
+    let run = drive(cfg, stream, policy, SteeringKind::default(), profiler, warmup, instructions)
+        .map_err(|e| e.to_string())?;
+    let (s, p, wall_seconds) = (run.stats, &run.observer, run.measure_seconds);
 
     let trace_events = match flags.get("out") {
         Some(path) => {
@@ -1029,12 +960,12 @@ fn cmd_phases(args: &[String]) -> Result<(), String> {
     let instructions = flags.get_u64("instructions", 500_000)?;
     let warmup = flags.get_u64("warmup", 50_000)?;
     let base = flags.get_u64("base-interval", 1_000)?;
-    let (recorder, records) = MetricsRecorder::new(16, base);
+    let (recorder, timeline) = Recording::new(FixedPolicy::new(16), base);
     let stream = workload.trace().map(|r| r.expect("workload trace"));
-    let mut cpu = Processor::new(SimConfig::default(), stream, Box::new(recorder))
+    let (cfg, steering) = (SimConfig::default(), SteeringKind::default());
+    drive(cfg, stream, Box::new(recorder), steering, NullObserver, 0, warmup + instructions)
         .map_err(|e| e.to_string())?;
-    cpu.run(warmup + instructions).map_err(|e| e.to_string())?;
-    let records = records.borrow();
+    let records: Vec<_> = timeline.borrow().iter().map(|e| e.record).collect();
     // Discard the warm-up portion, as the Table 4 experiment does.
     let skip = ((warmup / base) as usize).min(records.len());
     let records = &records[skip..];

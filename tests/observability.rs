@@ -140,7 +140,7 @@ fn observed_explore_run_exports_all_three_documents() {
 
     // Chrome trace: events for every configuration the explore policy
     // visited, totals consistent with the statistics.
-    let trace = chrome_trace(m);
+    let trace = chrome_trace(m, &[]);
     let events = trace.as_arr().expect("array");
     let spans: Vec<&Json> =
         events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("X")).collect();
