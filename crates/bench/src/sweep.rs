@@ -194,17 +194,33 @@ pub fn run_point(point: &SweepPoint) -> SimStats {
 }
 
 /// [`run_point`] with an observer watching the run, e.g. a
-/// [`DecisionTrace`](clustered_sim::DecisionTrace) for the experiment
-/// binaries' `--decisions` dumps.
+/// [`DecisionTrace`](clustered_sim::DecisionTrace) for the
+/// `experiments --decisions` dumps.
 ///
 /// # Panics
 ///
 /// As for [`run_point`].
 pub fn run_point_with<O: SimObserver>(point: &SweepPoint, observer: O) -> Run<O> {
+    run_point_as(point, (point.policy)(), observer)
+}
+
+/// [`run_point_with`] under a caller-built `policy` instead of one from
+/// the point's factory: for a policy that cannot cross threads, such as
+/// a [`Recording`](clustered_core::Recording) of the point's own
+/// policy, built on the worker that runs it.
+///
+/// # Panics
+///
+/// As for [`run_point`].
+pub fn run_point_as<O: SimObserver>(
+    point: &SweepPoint,
+    policy: Box<dyn ReconfigPolicy>,
+    observer: O,
+) -> Run<O> {
     let run = drive(
         point.cfg,
         point.compiled.replay(),
-        (point.policy)(),
+        policy,
         point.steering,
         observer,
         point.warmup,

@@ -12,8 +12,8 @@ use clustered_bench::sweep::{
     capture_for, run_point, run_sweep_jobs, run_sweep_serial, SweepPoint,
 };
 use clustered_bench::{run_experiment, run_experiment_with};
-use clustered_core::{IntervalDistantIlp, IntervalExplore};
-use clustered_sim::{CacheModel, FixedPolicy, NullObserver, SimConfig, SteeringKind};
+use clustered_core::{FineGrain, IntervalDistantIlp, IntervalExplore};
+use clustered_sim::{CacheModel, FixedPolicy, NullObserver, SimConfig, SteeringKind, Topology};
 
 const WARMUP: u64 = 2_000;
 const MEASURE: u64 = 20_000;
@@ -28,15 +28,30 @@ fn decentralized() -> SimConfig {
 
 /// Replay must be invisible to the timing model: same stats, bit for
 /// bit, as re-emulating the workload live — across a monolithic, a
-/// clustered, and a decentralized-cache configuration.
+/// clustered, and a decentralized-cache configuration, the fine-grained
+/// policies (fig6), the grid interconnect (fig8), the arrival-estimate
+/// criticality source (ablation) and a sensitivity variant.
 #[test]
 fn golden_replay_matches_live_emulation() {
     let w = clustered_workloads::by_name("gzip").unwrap();
     let trace = capture_for(&w, WARMUP, MEASURE);
-    let cases: [(SimConfig, PolicyFn); 3] = [
+    let mut grid = SimConfig::default();
+    grid.interconnect.topology = Topology::Grid;
+    let mut no_crit = SimConfig::default();
+    no_crit.crit.enabled = false;
+    let mut slow_small = SimConfig::default();
+    slow_small.interconnect.hop_latency = 2;
+    (slow_small.clusters.int_iq, slow_small.clusters.fp_iq) = (10, 10);
+    (slow_small.clusters.int_regs, slow_small.clusters.fp_regs) = (20, 20);
+    let cases: [(SimConfig, PolicyFn); 8] = [
         (SimConfig::monolithic(), || Box::new(FixedPolicy::new(1))),
         (SimConfig::default(), || Box::new(FixedPolicy::new(8))),
         (decentralized(), || Box::new(FixedPolicy::new(16))),
+        (SimConfig::default(), || Box::new(FineGrain::branch_policy())),
+        (SimConfig::default(), || Box::new(FineGrain::subroutine_policy())),
+        (grid, || Box::new(IntervalExplore::default())),
+        (no_crit, || Box::new(FixedPolicy::new(16))),
+        (slow_small, || Box::new(IntervalExplore::default())),
     ];
     for (i, (cfg, policy)) in cases.into_iter().enumerate() {
         let live = run_experiment(&w, cfg, policy(), WARMUP, MEASURE);
@@ -46,33 +61,35 @@ fn golden_replay_matches_live_emulation() {
     }
 }
 
-/// The golden guarantee also holds for an adaptive policy and a
-/// non-default steering heuristic — the pieces that carry state across
-/// intervals.
+/// The golden guarantee also holds for an adaptive policy under the
+/// non-default steering heuristics (the ablation's among them) — the
+/// pieces that carry state across intervals.
 #[test]
 fn golden_replay_matches_live_adaptive_policy() {
     let w = clustered_workloads::by_name("crafty").unwrap();
     let trace = capture_for(&w, WARMUP, MEASURE);
-    let live = run_experiment_with(
-        &w,
-        SimConfig::default(),
-        Box::new(IntervalExplore::default()),
-        SteeringKind::ModN(3),
-        NullObserver,
-        WARMUP,
-        MEASURE,
-    )
-    .stats;
-    let point = SweepPoint::new(
-        "crafty/explore",
-        &trace,
-        SimConfig::default(),
-        || Box::new(IntervalExplore::default()),
-        WARMUP,
-        MEASURE,
-    )
-    .steering(SteeringKind::ModN(3));
-    assert_eq!(live, run_point(&point), "adaptive-policy replay diverged");
+    for steering in [SteeringKind::ModN(3), SteeringKind::ModN(4), SteeringKind::FirstFit] {
+        let live = run_experiment_with(
+            &w,
+            SimConfig::default(),
+            Box::new(IntervalExplore::default()),
+            steering,
+            NullObserver,
+            WARMUP,
+            MEASURE,
+        )
+        .stats;
+        let point = SweepPoint::new(
+            "crafty/explore",
+            &trace,
+            SimConfig::default(),
+            || Box::new(IntervalExplore::default()),
+            WARMUP,
+            MEASURE,
+        )
+        .steering(steering);
+        assert_eq!(live, run_point(&point), "{steering:?}: adaptive-policy replay diverged");
+    }
 }
 
 fn mixed_grid() -> Vec<SweepPoint> {

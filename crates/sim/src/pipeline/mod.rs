@@ -535,7 +535,7 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
     /// A snapshot of structure occupancies, for debugging and
     /// introspection. The per-cluster vectors cover only the `active`
     /// clusters — disabled clusters hold no instructions, and
-    /// reporting their idle resources made `diag` output misleading.
+    /// reporting their idle resources made per-run counter dumps misleading.
     pub fn occupancy_snapshot(&self) -> OccupancySnapshot {
         OccupancySnapshot {
             rob: self.rob.len(),

@@ -39,28 +39,29 @@ echo "==> bench smoke (2 samples per case)"
 # runs end to end. Two samples keep it to seconds.
 CLUSTERED_BENCH_SAMPLES=2 cargo bench --workspace --quiet
 
-echo "==> trace cache: cold vs warm fig3 grid"
-# The capture cache must be invisible to results: run one grid cold
-# (captures live, writes .ctrace files), then warm (loads them, zero
-# emulation), and require bit-identical output. Small window: this is
-# a correctness gate, not a measurement.
+echo "==> trace cache: cold vs warm, every experiment"
+# The capture cache must be invisible to results: run every experiment
+# cold (captures live, writes .ctrace files), then warm (loads them,
+# zero emulation), and require bit-identical output. `all` covers
+# multithread's half window and table4's zero-warm-up capture. Small
+# window: this is a correctness gate, not a measurement.
 CACHE_TMP=$(mktemp -d)
 trap 'rm -rf "$CACHE_TMP"' EXIT
 CLUSTERED_TRACE_CACHE="$CACHE_TMP/traces" CLUSTERED_MEASURE=20000 CLUSTERED_WARMUP=2000 \
-    ./target/release/fig3 > "$CACHE_TMP/cold.txt"
+    ./target/release/experiments all > "$CACHE_TMP/cold.txt"
 ls "$CACHE_TMP/traces/"*.ctrace > /dev/null  # the cold run must populate the cache
 CLUSTERED_TRACE_CACHE="$CACHE_TMP/traces" CLUSTERED_MEASURE=20000 CLUSTERED_WARMUP=2000 \
-    ./target/release/fig3 > "$CACHE_TMP/warm.txt"
+    ./target/release/experiments all > "$CACHE_TMP/warm.txt"
 cmp "$CACHE_TMP/cold.txt" "$CACHE_TMP/warm.txt"
 
-echo "==> fig3 --decisions smoke (sweep points with a decision observer)"
-# The grid's decision dump goes through sweep::run_point_with and the
-# shared --decisions parser. A point's trace is the provenance header
-# plus the fixed policy's 10k-commit checkpoints, so it must hold more
-# than one line.
+echo "==> experiments --decisions smoke (sweep points with a decision observer)"
+# Each point's decision trace goes to DIR/<experiment>/<label>.jsonl,
+# so no two experiments of `all` can write the same file. A fig3
+# point's trace is the provenance header plus the fixed policy's
+# 10k-commit checkpoints, so it must hold more than one line.
 CLUSTERED_TRACE_CACHE="$CACHE_TMP/traces" CLUSTERED_MEASURE=20000 CLUSTERED_WARMUP=2000 \
-    ./target/release/fig3 --decisions "$CACHE_TMP/dec" > /dev/null
-test "$(wc -l < "$CACHE_TMP/dec/gzip-16.jsonl")" -gt 1
+    ./target/release/experiments fig3 --decisions "$CACHE_TMP/dec" > /dev/null
+test "$(wc -l < "$CACHE_TMP/dec/fig3/gzip-16.jsonl")" -gt 1
 
 echo "==> explain smoke (decision telemetry end to end)"
 # One short run per policy family plus a JSONL dump: `explain` must
@@ -151,8 +152,8 @@ fi
 
 echo "==> trace info smoke (compiled-table report)"
 # `trace info` must compile the table on demand and report its size and
-# block count; the fig3 cold run above populated the cache with
-# .ctrace files we can inspect.
+# block count; the cold run above populated the cache with .ctrace
+# files we can inspect.
 first_trace=$(ls "$CACHE_TMP/traces/"*.ctrace | head -n 1)
 ./target/release/clustered trace info "$first_trace" > "$CACHE_TMP/traceinfo.txt"
 grep -q "compiled table" "$CACHE_TMP/traceinfo.txt"
