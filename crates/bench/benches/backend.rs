@@ -17,7 +17,6 @@
 //! a data-structure change that alters the schedule fails here before
 //! it ever reaches the 360-point shard oracle.
 
-use clustered_bench::sweep::capture_for;
 use clustered_sim::{
     drive, CacheModel, FixedPolicy, HostProfiler, HostStage, SimConfig, SteeringKind,
     DEFAULT_SAMPLE_INTERVAL,
@@ -87,7 +86,7 @@ fn main() {
     let mut sim_cycles = Json::object();
     for case in &CASES {
         let w = clustered_workloads::by_name(case.workload).expect("built-in workload");
-        let trace = capture_for(&w, WARMUP, INSTRUCTIONS);
+        let trace = CapturedTrace::for_window(&w, WARMUP, INSTRUCTIONS);
         let mut backend = Vec::with_capacity(samples);
         let mut whole = Vec::with_capacity(samples);
         let mut cycles_pin = None;

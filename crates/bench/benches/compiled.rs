@@ -14,9 +14,9 @@
 //! CI `bench-cmp` self-compare gate prices.
 
 use clustered_bench::harness::Harness;
-use clustered_bench::sweep::capture_for;
 use clustered_emu::{DecodedInst, TraceSource};
 use clustered_sim::{drive, FixedPolicy, NullObserver, SimConfig, SimStats, SteeringKind};
+use clustered_workloads::CapturedTrace;
 use std::hint::black_box;
 
 const WARMUP: u64 = 5_000;
@@ -66,7 +66,7 @@ fn main() {
     // replay arm versus a table row copy on the compiled arm.
     {
         let w = clustered_workloads::by_name("gzip").expect("known workload");
-        let trace = capture_for(&w, WARMUP, INSTRUCTIONS);
+        let trace = CapturedTrace::for_window(&w, WARMUP, INSTRUCTIONS);
         let compiled = trace.compile();
         let n = trace.len();
         let mut out: Vec<DecodedInst> = Vec::with_capacity(16);
@@ -91,7 +91,7 @@ fn main() {
     let mut rows = Vec::new();
     for (workload, shape, configured, active) in cases {
         let w = clustered_workloads::by_name(workload).expect("known workload");
-        let trace = capture_for(&w, WARMUP, INSTRUCTIONS);
+        let trace = CapturedTrace::for_window(&w, WARMUP, INSTRUCTIONS);
         let compiled = trace.compile();
         // Deterministic simulation: one untimed run pins the cycle
         // count every timed sample repeats — and the two paths must

@@ -12,7 +12,6 @@
 //! `results/BENCH_hostprof.json` (schema in EXPERIMENTS.md).
 
 use clustered_bench::harness::Harness;
-use clustered_bench::sweep::capture_for;
 use clustered_sim::{
     drive, FixedPolicy, HostProfiler, NullObserver, SimConfig, SimObserver, SimStats,
     SteeringKind, DEFAULT_SAMPLE_INTERVAL,
@@ -34,7 +33,7 @@ fn run<O: SimObserver>(trace: &CapturedTrace, observer: O) -> SimStats {
 fn main() {
     let mut h = Harness::from_env("hostprof");
     let gzip = clustered_workloads::by_name("gzip").expect("gzip workload");
-    let trace = capture_for(&gzip, WARMUP, INSTRUCTIONS);
+    let trace = CapturedTrace::for_window(&gzip, WARMUP, INSTRUCTIONS);
 
     // The simulation is deterministic, and the profiler must not
     // perturb it: pin that here before timing anything.

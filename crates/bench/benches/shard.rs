@@ -13,7 +13,6 @@
 //! baseline the ≥1.5× quiescence win is measured against.
 
 use clustered_bench::harness::Harness;
-use clustered_bench::sweep::capture_for;
 use clustered_sim::{drive, FixedPolicy, NullObserver, SimConfig, SimStats, SteeringKind};
 use clustered_workloads::CapturedTrace;
 use std::hint::black_box;
@@ -33,7 +32,7 @@ fn run(trace: &CapturedTrace, configured: usize, active: usize) -> SimStats {
 fn main() {
     let mut h = Harness::from_env("shard");
     let gzip = clustered_workloads::by_name("gzip").expect("gzip workload");
-    let trace = capture_for(&gzip, WARMUP, INSTRUCTIONS);
+    let trace = CapturedTrace::for_window(&gzip, WARMUP, INSTRUCTIONS);
 
     let cases: [(&str, usize, usize); 3] = [
         ("shard/16cfg_2active", 16, 2),

@@ -12,7 +12,7 @@
 
 use clustered_bench::harness::Harness;
 use clustered_bench::run_experiment;
-use clustered_bench::sweep::{capture_for, run_sweep, run_sweep_serial, SweepPoint};
+use clustered_bench::sweep::{run_sweep, run_sweep_serial, SweepPoint};
 use clustered_sim::{FixedPolicy, SimConfig};
 use clustered_workloads::CapturedTrace;
 use std::hint::black_box;
@@ -54,7 +54,7 @@ fn main() {
     // the replay cases save, they save relative to paying this 45×.
     h.bench("sweep/capture_9_workloads", || {
         for w in &workloads {
-            black_box(capture_for(w, WARMUP, INSTRUCTIONS).len());
+            black_box(CapturedTrace::for_window(w, WARMUP, INSTRUCTIONS).len());
         }
     });
 
@@ -86,7 +86,7 @@ fn main() {
     h.bench("sweep/fig3_grid_replay_serial", || {
         let traces: Vec<_> = workloads
             .iter()
-            .map(|w| (w.clone(), capture_for(w, WARMUP, INSTRUCTIONS)))
+            .map(|w| (w.clone(), CapturedTrace::for_window(w, WARMUP, INSTRUCTIONS)))
             .collect();
         black_box(run_sweep_serial(&grid_points(&traces)));
     });
@@ -96,7 +96,7 @@ fn main() {
     h.bench("sweep/fig3_grid_replay_parallel", || {
         let traces: Vec<_> = workloads
             .iter()
-            .map(|w| (w.clone(), capture_for(w, WARMUP, INSTRUCTIONS)))
+            .map(|w| (w.clone(), CapturedTrace::for_window(w, WARMUP, INSTRUCTIONS)))
             .collect();
         black_box(run_sweep(&grid_points(&traces)));
     });

@@ -12,7 +12,8 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match cli(&args, &Settings::from_env(), &mut std::io::stdout().lock()) {
+    let settings = Settings::from_env();
+    match settings.and_then(|s| cli(&args, &s, &mut std::io::stdout().lock())) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("error: {message}");

@@ -3,9 +3,9 @@
 //! binary on the sweep executor.
 //!
 //! An experiment is a grid of (workload × configuration × policy)
-//! points plus a renderer. Every spec captures each workload once
-//! ([`capture_for`], so `CLUSTERED_TRACE_CACHE` applies), replays the
-//! captures on [`run_sweep_with`] over [`jobs`] workers, and renders the
+//! points plus a renderer. Every spec captures each workload once in
+//! memory ([`CapturedTrace::for_window`]), replays the captures on
+//! [`run_sweep_with`] over [`jobs`] workers, and renders the
 //! results in point order — so the printed text does not depend on the
 //! worker count. `experiments all` is the concatenation of every
 //! single-experiment output, in [`EXPERIMENTS`] order.
@@ -20,7 +20,7 @@
 //! assert!(report.text.starts_with("Table 1"));
 //! ```
 
-use crate::sweep::{capture_for, jobs, run_point_as, run_sweep_with, SweepOutcome, SweepPoint};
+use crate::sweep::{jobs, run_point_as, run_sweep_with, SweepOutcome, SweepPoint};
 use crate::{DEFAULT_MEASURE, DEFAULT_WARMUP};
 use clustered_core::phase::{
     instability_factor, minimum_stable_interval, IntervalRecord, StabilityThresholds,
@@ -61,15 +61,23 @@ pub struct Window {
 }
 
 impl Window {
-    /// `CLUSTERED_WARMUP` / `CLUSTERED_MEASURE`, or the defaults.
-    fn from_env() -> Window {
-        let var = |name: &str, default| {
-            std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    /// `CLUSTERED_WARMUP` / `CLUSTERED_MEASURE`, or the defaults when
+    /// unset.
+    fn from_env() -> Result<Window, String> {
+        Window::from_vars(|name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned()))
+    }
+
+    /// [`Window::from_env`] over any variable lookup; a set variable
+    /// that is not a whole number is an error naming it.
+    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Window, String> {
+        let read = |name: &str, default| match var(name) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("{name} expects a number, got `{v}`")),
         };
-        Window {
-            warmup: var("CLUSTERED_WARMUP", DEFAULT_WARMUP),
-            measure: var("CLUSTERED_MEASURE", DEFAULT_MEASURE),
-        }
+        Ok(Window {
+            warmup: read("CLUSTERED_WARMUP", DEFAULT_WARMUP)?,
+            measure: read("CLUSTERED_MEASURE", DEFAULT_MEASURE)?,
+        })
     }
 
     /// The exploration scheme's give-up bound. The paper's THRESH3
@@ -271,8 +279,14 @@ pub struct Settings {
 impl Settings {
     /// The environment's window and worker count, writing JSON to
     /// `results/`.
-    pub fn from_env() -> Settings {
-        Settings { window: Window::from_env(), jobs: jobs(), results_dir: PathBuf::from("results") }
+    ///
+    /// # Errors
+    ///
+    /// A message naming `CLUSTERED_WARMUP` or `CLUSTERED_MEASURE` when
+    /// either is set to something other than a whole number.
+    pub fn from_env() -> Result<Settings, String> {
+        let window = Window::from_env()?;
+        Ok(Settings { window, jobs: jobs(), results_dir: PathBuf::from("results") })
     }
 }
 
@@ -305,8 +319,8 @@ pub fn cli(
         match arg.as_str() {
             "--json" => json = true,
             "--decisions" => match args.next() {
-                Some(dir) => decisions = Some(PathBuf::from(dir)),
-                None => return Err("--decisions expects a directory".into()),
+                Some(dir) if !dir.starts_with("--") => decisions = Some(PathBuf::from(dir)),
+                _ => return Err("--decisions expects a directory".into()),
             },
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown flag `{flag}`\n{}", usage()))
@@ -380,7 +394,8 @@ const NOEXP_1K: Column = ("noexp-1K", |_| Box::new(IntervalDistantIlp::with_inte
 const NOEXP_10K: Column = ("noexp-10K", |_| Box::new(IntervalDistantIlp::with_interval(10_000)));
 
 fn suite_traces(warmup: u64, measure: u64) -> Vec<CapturedTrace> {
-    clustered_workloads::all().iter().map(|w| capture_for(w, warmup, measure)).collect()
+    let capture = |w| CapturedTrace::for_window(w, warmup, measure);
+    clustered_workloads::all().iter().map(capture).collect()
 }
 
 /// One point per (workload, column) under `cfg`, workload-major, every
@@ -1306,7 +1321,7 @@ fn multithread_points(window: Window) -> Vec<SweepPoint> {
     let window = multithread_window(window);
     let capture = |name| {
         let w = clustered_workloads::by_name(name).expect("known workload");
-        capture_for(&w, window.warmup, window.measure)
+        CapturedTrace::for_window(&w, window.warmup, window.measure)
     };
     let mut points = Vec::new();
     for (a, b) in PAIRINGS {
@@ -1407,8 +1422,25 @@ mod tests {
 
     #[test]
     fn window_defaults() {
-        let window = Window::from_env();
-        assert_eq!(window, Window { warmup: DEFAULT_WARMUP, measure: DEFAULT_MEASURE });
+        let window = Window::from_vars(|_| None);
+        assert_eq!(window, Ok(Window { warmup: DEFAULT_WARMUP, measure: DEFAULT_MEASURE }));
+    }
+
+    /// A typo in a window variable is an error naming the variable,
+    /// not a silent fall-back to the (long) default window.
+    #[test]
+    fn window_rejects_unparsable_variables() {
+        let vars = |warmup: &'static str, measure: &'static str| {
+            move |name: &str| {
+                Some(if name == "CLUSTERED_WARMUP" { warmup } else { measure }.to_string())
+            }
+        };
+        let window = Window::from_vars(vars("20000", "2000"));
+        assert_eq!(window, Ok(Window { warmup: 20_000, measure: 2_000 }));
+        let err = Window::from_vars(vars("20k", "2000")).unwrap_err();
+        assert!(err.contains("CLUSTERED_WARMUP") && err.contains("`20k`"), "{err}");
+        let err = Window::from_vars(vars("20000", "")).unwrap_err();
+        assert!(err.contains("CLUSTERED_MEASURE"), "{err}");
     }
 
     #[test]
@@ -1444,6 +1476,7 @@ mod tests {
             &["fig4"],
             &["tables", "--jsn"],
             &["tables", "--decisions"],
+            &["tables", "--decisions", "--json"],
             &["tables", "fig3"],
         ] {
             assert!(run(bad).is_err(), "{bad:?} must be rejected");

@@ -30,11 +30,12 @@
 //! # Examples
 //!
 //! ```
-//! use clustered_bench::sweep::{capture_for, run_sweep, SweepPoint};
+//! use clustered_bench::sweep::{run_sweep, SweepPoint};
 //! use clustered_sim::{FixedPolicy, SimConfig};
+//! use clustered_workloads::CapturedTrace;
 //!
 //! let gzip = clustered_workloads::by_name("gzip").unwrap();
-//! let trace = capture_for(&gzip, 1_000, 5_000);
+//! let trace = CapturedTrace::for_window(&gzip, 1_000, 5_000);
 //! let points: Vec<SweepPoint> = [2usize, 4]
 //!     .iter()
 //!     .map(|&n| {
@@ -56,7 +57,7 @@
 use clustered_sim::{
     drive, NullObserver, ReconfigPolicy, Run, SimConfig, SimObserver, SimStats, SteeringKind,
 };
-use clustered_workloads::{CapturedTrace, CompiledTrace, Workload};
+use clustered_workloads::{CapturedTrace, CompiledTrace};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Instant;
@@ -144,27 +145,6 @@ impl std::fmt::Debug for SweepPoint {
     }
 }
 
-/// Captures `workload` once with enough records for a
-/// `warmup + measure` window (see
-/// [`CAPTURE_MARGIN`](clustered_workloads::CAPTURE_MARGIN)); the
-/// returned trace is shared by every [`SweepPoint`] built from it.
-///
-/// When `CLUSTERED_TRACE_CACHE` names a directory, the capture goes
-/// through the on-disk trace cache
-/// ([`capture_for_window_cached`](clustered_workloads::capture_for_window_cached)):
-/// a warm run loads the `.ctrace` file instead of re-emulating, and a
-/// cold run writes it for next time. Replay from cache is bit-identical
-/// to a live capture, so grid results do not depend on cache state
-/// (`tests/trace_cache.rs` pins this).
-pub fn capture_for(workload: &Workload, warmup: u64, measure: u64) -> CapturedTrace {
-    clustered_workloads::capture_for_window_cached(
-        workload,
-        warmup,
-        measure,
-        clustered_workloads::env_cache_dir().as_deref(),
-    )
-}
-
 /// The sweep worker count: `CLUSTERED_JOBS` if set to a positive
 /// integer, otherwise the host's available parallelism.
 pub fn jobs() -> usize {
@@ -186,8 +166,8 @@ pub fn jobs() -> usize {
 ///
 /// Panics if the captured trace is exhausted before the measurement
 /// window completes (the capture was too short for this window —
-/// never the case for traces built by [`capture_for`]), or on the
-/// configuration/stall conditions of
+/// never the case for traces built by [`CapturedTrace::for_window`]),
+/// or on the configuration/stall conditions of
 /// [`run_experiment`](crate::run_experiment).
 pub fn run_point(point: &SweepPoint) -> SimStats {
     run_point_with(point, NullObserver).stats

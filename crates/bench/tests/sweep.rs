@@ -8,12 +8,11 @@
 //! * **Determinism**: repeating a run — serially or under the worker
 //!   pool — yields identical statistics.
 
-use clustered_bench::sweep::{
-    capture_for, run_point, run_sweep_jobs, run_sweep_serial, SweepPoint,
-};
+use clustered_bench::sweep::{run_point, run_sweep_jobs, run_sweep_serial, SweepPoint};
 use clustered_bench::{run_experiment, run_experiment_with};
 use clustered_core::{FineGrain, IntervalDistantIlp, IntervalExplore};
 use clustered_sim::{CacheModel, FixedPolicy, NullObserver, SimConfig, SteeringKind, Topology};
+use clustered_workloads::CapturedTrace;
 
 const WARMUP: u64 = 2_000;
 const MEASURE: u64 = 20_000;
@@ -34,7 +33,7 @@ fn decentralized() -> SimConfig {
 #[test]
 fn golden_replay_matches_live_emulation() {
     let w = clustered_workloads::by_name("gzip").unwrap();
-    let trace = capture_for(&w, WARMUP, MEASURE);
+    let trace = CapturedTrace::for_window(&w, WARMUP, MEASURE);
     let mut grid = SimConfig::default();
     grid.interconnect.topology = Topology::Grid;
     let mut no_crit = SimConfig::default();
@@ -67,7 +66,7 @@ fn golden_replay_matches_live_emulation() {
 #[test]
 fn golden_replay_matches_live_adaptive_policy() {
     let w = clustered_workloads::by_name("crafty").unwrap();
-    let trace = capture_for(&w, WARMUP, MEASURE);
+    let trace = CapturedTrace::for_window(&w, WARMUP, MEASURE);
     for steering in [SteeringKind::ModN(3), SteeringKind::ModN(4), SteeringKind::FirstFit] {
         let live = run_experiment_with(
             &w,
@@ -96,7 +95,7 @@ fn mixed_grid() -> Vec<SweepPoint> {
     let mut points = Vec::new();
     for name in ["gzip", "swim", "djpeg"] {
         let w = clustered_workloads::by_name(name).unwrap();
-        let trace = capture_for(&w, WARMUP, MEASURE);
+        let trace = CapturedTrace::for_window(&w, WARMUP, MEASURE);
         points.push(SweepPoint::new(
             format!("{name}/fixed4"),
             &trace,

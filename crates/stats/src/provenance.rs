@@ -26,7 +26,8 @@ use std::sync::OnceLock;
 pub const PROVENANCE_SCHEMA_VERSION: u64 = 1;
 
 /// FNV-1a 64-bit over `bytes` — the workspace's standard content
-/// digest (the `.ctrace` file checksum uses the same function). Small,
+/// digest (the capture checksum folds the same function record by
+/// record). Small,
 /// dependency-free, and stable across platforms; not cryptographic.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;

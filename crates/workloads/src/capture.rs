@@ -38,9 +38,8 @@
 //! assert_eq!(a, b);
 //! ```
 
-use crate::tracefile::{encode_record, fnv1a, FNV_OFFSET};
 use crate::Workload;
-use clustered_emu::{BranchKind, BranchOutcome, DynInst, MemAccess};
+use clustered_emu::{BranchKind, BranchOutcome, DynInst, EmuError, MemAccess};
 use clustered_isa::{ArchReg, Inst, OpClass, Program};
 use std::sync::{Arc, OnceLock};
 
@@ -162,25 +161,6 @@ pub struct CapturedTrace {
 }
 
 impl CapturedTrace {
-    /// Assembles a capture from its parts; `table` must be
-    /// `StaticOp::table(&program)` and every record's PC inside it.
-    pub(crate) fn from_parts(
-        name: String,
-        program: Arc<Program>,
-        table: Arc<[StaticOp]>,
-        records: Vec<Record>,
-        ended_at_halt: bool,
-    ) -> CapturedTrace {
-        CapturedTrace {
-            name,
-            program,
-            table,
-            records: Arc::new(records),
-            ended_at_halt,
-            checksum: Arc::new(OnceLock::new()),
-        }
-    }
-
     /// Emulates `workload` from its initial state, capturing up to
     /// `max_records` dynamic instructions (fewer if the program
     /// halts first — see [`CapturedTrace::ended_at_halt`]).
@@ -188,8 +168,42 @@ impl CapturedTrace {
     /// # Panics
     ///
     /// Panics if the workload faults during emulation; workload
-    /// kernels are part of the program, not user input.
+    /// kernels are part of the program, not user input. User programs
+    /// go through [`CapturedTrace::try_for_window`].
     pub fn capture(workload: &Workload, max_records: u64) -> CapturedTrace {
+        CapturedTrace::try_capture(workload, max_records).unwrap_or_else(|e| {
+            panic!("workload `{}` faulted during capture: {e}", workload.name())
+        })
+    }
+
+    /// Captures enough records for a `warmup + measure` simulation
+    /// window plus [`CAPTURE_MARGIN`] slack for the fetch front end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload faults, as [`CapturedTrace::capture`].
+    pub fn for_window(workload: &Workload, warmup: u64, measure: u64) -> CapturedTrace {
+        CapturedTrace::capture(workload, warmup + measure + CAPTURE_MARGIN)
+    }
+
+    /// [`CapturedTrace::for_window`] for programs that may fault, such
+    /// as user-supplied kernels.
+    ///
+    /// # Errors
+    ///
+    /// The emulator's fault if the program faults inside the captured
+    /// window.
+    pub fn try_for_window(
+        workload: &Workload,
+        warmup: u64,
+        measure: u64,
+    ) -> Result<CapturedTrace, EmuError> {
+        CapturedTrace::try_capture(workload, warmup + measure + CAPTURE_MARGIN)
+    }
+
+    /// The one capture loop behind [`CapturedTrace::capture`] and
+    /// [`CapturedTrace::try_for_window`].
+    fn try_capture(workload: &Workload, max_records: u64) -> Result<CapturedTrace, EmuError> {
         // Pre-size for the requested window: record counts are known up
         // front, so growth-by-doubling only wastes copies. The cap keeps
         // a huge `max_records` request on a program that halts early
@@ -213,9 +227,7 @@ impl CapturedTrace {
                     );
                     records.push(r);
                 }
-                Some(Err(e)) => {
-                    panic!("workload `{}` faulted during capture: {e}", workload.name())
-                }
+                Some(Err(e)) => return Err(e),
                 None => {
                     ended_at_halt = true;
                     break;
@@ -223,19 +235,14 @@ impl CapturedTrace {
             }
         }
         records.shrink_to_fit();
-        CapturedTrace::from_parts(
-            workload.name().to_string(),
-            Arc::new(workload.program().clone()),
+        Ok(CapturedTrace {
+            name: workload.name().to_string(),
+            program: Arc::new(workload.program().clone()),
             table,
-            records,
+            records: Arc::new(records),
             ended_at_halt,
-        )
-    }
-
-    /// Captures enough records for a `warmup + measure` simulation
-    /// window plus [`CAPTURE_MARGIN`] slack for the fetch front end.
-    pub fn for_window(workload: &Workload, warmup: u64, measure: u64) -> CapturedTrace {
-        CapturedTrace::capture(workload, warmup + measure + CAPTURE_MARGIN)
+            checksum: Arc::new(OnceLock::new()),
+        })
     }
 
     /// The captured workload's name.
@@ -243,10 +250,7 @@ impl CapturedTrace {
         &self.name
     }
 
-    /// The program the records were captured from. For traces loaded
-    /// from a `.ctrace` file this is the program *text* only — the
-    /// data segment and symbol table are not persisted, and replay
-    /// needs neither (memory effects are in the records).
+    /// The program the records were captured from.
     pub fn program(&self) -> &Program {
         &self.program
     }
@@ -276,17 +280,16 @@ impl CapturedTrace {
     /// FNV-1a 64-bit checksum over the captured record stream — the
     /// trace identity stamped into run provenance, so two artifacts can
     /// be compared knowing they simulated the same dynamic instructions.
-    /// Covers exactly the `.ctrace` record fields (`addr`, `pc`,
-    /// `next_pc`, `flags`) in sequence order, serialized little-endian
-    /// exactly as the file's record section — the same bytes for the
-    /// same capture regardless of host. Unlike the `.ctrace` whole-file
-    /// checksum it excludes the header and program text, so it is
-    /// stable across renames of the same dynamic stream. Computed once
-    /// per capture and shared by its clones.
+    /// Each record is hashed as the 18-byte little-endian v1 record
+    /// (`addr`, `pc`, `next_pc`, `flags`) in sequence order: the same
+    /// bytes for the same capture on any host. The workload name is not
+    /// hashed, so the checksum is stable across renames of the same
+    /// dynamic stream. Computed once per capture and shared by its
+    /// clones.
     pub fn checksum(&self) -> u64 {
         *self.checksum.get_or_init(|| {
             self.records.iter().fold(FNV_OFFSET, |hash, r| {
-                fnv1a(hash, &encode_record(r, &self.table[r.pc as usize]))
+                fnv1a(hash, &v1_record(r, &self.table[r.pc as usize]))
             })
         })
     }
@@ -301,6 +304,56 @@ impl CapturedTrace {
             pos: 0,
         }
     }
+}
+
+/// FNV-1a 64-bit offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a 64-bit `hash`.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    hash
+}
+
+/// One record in the v1 layout the checksum has always hashed, rebuilt
+/// from the compact record and its slot's static op: `addr: u64`,
+/// `pc: u32`, `next_pc: u32` and a `u16` flag word, little-endian. The
+/// flag word holds bit 0 memref, bit 1 store, bits 2–3 the access size
+/// (0 → 1 byte, 1 → 4, 2 → 8), bit 4 control transfer, bits 5–7 its
+/// [`BranchKind`] and bit 8 taken. Changing any of it moves every
+/// checksum already stamped into provenance.
+fn v1_record(r: &Record, op: &StaticOp) -> [u8; 18] {
+    let mem = op.mem.map_or(0, |(size, is_store)| {
+        let size_code = match size {
+            1 => 0,
+            4 => 1,
+            _ => 2,
+        };
+        1 | u16::from(is_store) << 1 | size_code << 2
+    });
+    let branch = op.branch.map_or(0, |kind| {
+        let kind_code = match kind {
+            BranchKind::Conditional => 0,
+            BranchKind::Jump => 1,
+            BranchKind::Indirect => 2,
+            BranchKind::Call => 3,
+            BranchKind::IndirectCall => 4,
+            BranchKind::Return => 5,
+        };
+        1 << 4 | kind_code << 5
+    });
+    let addr = r.mem(op).map_or(0, |m| m.addr);
+    let (next_pc, taken) = r.branch(op).map_or((0, false), |b| (b.next_pc, b.taken));
+    let flags: u16 = mem | branch | u16::from(taken) << 8;
+    let mut out = [0; 18];
+    out[..8].copy_from_slice(&addr.to_le_bytes());
+    out[8..12].copy_from_slice(&r.pc.to_le_bytes());
+    out[12..16].copy_from_slice(&next_pc.to_le_bytes());
+    out[16..].copy_from_slice(&flags.to_le_bytes());
+    out
 }
 
 /// A cheap cloneable iterator replaying a [`CapturedTrace`] as
@@ -477,6 +530,24 @@ mod tests {
         let live: Vec<DynInst> = w.trace().map(Result::unwrap).collect();
         let replayed: Vec<DynInst> = captured.replay().collect();
         assert_eq!(live, replayed);
+    }
+
+    /// A program that faults inside the window is an error from the
+    /// fallible capture and a panic from the infallible one.
+    #[test]
+    fn faulting_program_is_an_error() {
+        let w = Workload::from_source(
+            "wild",
+            "jumps outside its text",
+            profile(),
+            "li r1, 100000000000\n jr r1",
+            Vec::new(),
+        );
+        assert!(CapturedTrace::try_for_window(&w, 0, 10).is_err());
+        assert!(std::panic::catch_unwind(|| CapturedTrace::capture(&w, 10)).is_err());
+        let gzip = by_name("gzip").unwrap();
+        let fallible = CapturedTrace::try_for_window(&gzip, 100, 400).unwrap();
+        assert_eq!(fallible.checksum(), CapturedTrace::for_window(&gzip, 100, 400).checksum());
     }
 
     #[test]

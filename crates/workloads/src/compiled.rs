@@ -85,11 +85,6 @@ impl CompiledTrace {
         self.table.len()
     }
 
-    /// Size of the static micro-op table in bytes.
-    pub fn table_bytes(&self) -> usize {
-        self.table.len() * std::mem::size_of::<StaticOp>()
-    }
-
     /// Number of basic blocks in the dynamic stream — maximal runs in
     /// which only the last record may be a control transfer, plus a
     /// branch-free tail — counted in one scan. With an unbounded

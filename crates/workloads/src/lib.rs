@@ -38,12 +38,10 @@ pub mod data;
 mod kernels;
 mod profile;
 pub mod synthetic;
-pub mod tracefile;
 
 pub use capture::{CapturedTrace, TraceReplay, CAPTURE_MARGIN};
 pub use compiled::{CompiledReplay, CompiledTrace};
 pub use profile::{PaperProfile, WorkloadClass};
-pub use tracefile::{capture_cached, capture_for_window_cached, env_cache_dir, TraceFileError};
 
 use clustered_emu::{Machine, Trace};
 use clustered_isa::{assemble, Program};
@@ -123,13 +121,6 @@ impl Workload {
     /// Streams the workload's dynamic instruction trace.
     pub fn trace(&self) -> Trace {
         self.machine().into_trace()
-    }
-
-    /// Emulates the workload once and returns a shareable, replayable
-    /// capture of up to `max_records` dynamic instructions (see
-    /// [`CapturedTrace`]).
-    pub fn capture(&self, max_records: u64) -> CapturedTrace {
-        CapturedTrace::capture(self, max_records)
     }
 }
 
@@ -309,6 +300,19 @@ mod tests {
         };
         assert!(frac("swim") > 0.25, "swim should be memory-heavy");
         assert!(frac("vpr") < 0.35, "vpr is not memory-dominated");
+    }
+
+    /// Every built-in kernel's program text survives disassembly and
+    /// re-assembly bit for bit.
+    #[test]
+    fn all_workload_programs_reassemble_exactly() {
+        for w in all() {
+            let lines: Vec<String> =
+                w.program().text().iter().map(clustered_isa::disassemble).collect();
+            let src = lines.join("\n");
+            let back = assemble(&src).unwrap_or_else(|e| panic!("{}: {e}", w.name()));
+            assert_eq!(w.program().text(), back.text(), "{}: text diverged", w.name());
+        }
     }
 
     /// Deterministic construction: two builds yield identical programs

@@ -39,29 +39,26 @@ echo "==> bench smoke (2 samples per case)"
 # runs end to end. Two samples keep it to seconds.
 CLUSTERED_BENCH_SAMPLES=2 cargo bench --workspace --quiet
 
-echo "==> trace cache: cold vs warm, every experiment"
-# The capture cache must be invisible to results: run every experiment
-# cold (captures live, writes .ctrace files), then warm (loads them,
-# zero emulation), and require bit-identical output. `all` covers
+echo "==> experiments all, twice (every experiment end to end, deterministic)"
+# Two runs of every experiment must print identical text. `all` covers
 # multithread's half window and table4's zero-warm-up capture. Small
 # window: this is a correctness gate, not a measurement.
-CACHE_TMP=$(mktemp -d)
-trap 'rm -rf "$CACHE_TMP"' EXIT
-CLUSTERED_TRACE_CACHE="$CACHE_TMP/traces" CLUSTERED_MEASURE=20000 CLUSTERED_WARMUP=2000 \
-    ./target/release/experiments all > "$CACHE_TMP/cold.txt"
-ls "$CACHE_TMP/traces/"*.ctrace > /dev/null  # the cold run must populate the cache
-CLUSTERED_TRACE_CACHE="$CACHE_TMP/traces" CLUSTERED_MEASURE=20000 CLUSTERED_WARMUP=2000 \
-    ./target/release/experiments all > "$CACHE_TMP/warm.txt"
-cmp "$CACHE_TMP/cold.txt" "$CACHE_TMP/warm.txt"
+CI_TMP=$(mktemp -d)
+trap 'rm -rf "$CI_TMP"' EXIT
+CLUSTERED_MEASURE=20000 CLUSTERED_WARMUP=2000 \
+    ./target/release/experiments all > "$CI_TMP/all_a.txt"
+CLUSTERED_MEASURE=20000 CLUSTERED_WARMUP=2000 \
+    ./target/release/experiments all > "$CI_TMP/all_b.txt"
+cmp "$CI_TMP/all_a.txt" "$CI_TMP/all_b.txt"
 
 echo "==> experiments --decisions smoke (sweep points with a decision observer)"
 # Each point's decision trace goes to DIR/<experiment>/<label>.jsonl,
 # so no two experiments of `all` can write the same file. A fig3
 # point's trace is the provenance header plus the fixed policy's
 # 10k-commit checkpoints, so it must hold more than one line.
-CLUSTERED_TRACE_CACHE="$CACHE_TMP/traces" CLUSTERED_MEASURE=20000 CLUSTERED_WARMUP=2000 \
-    ./target/release/experiments fig3 --decisions "$CACHE_TMP/dec" > /dev/null
-test "$(wc -l < "$CACHE_TMP/dec/fig3/gzip-16.jsonl")" -gt 1
+CLUSTERED_MEASURE=20000 CLUSTERED_WARMUP=2000 \
+    ./target/release/experiments fig3 --decisions "$CI_TMP/dec" > /dev/null
+test "$(wc -l < "$CI_TMP/dec/fig3/gzip-16.jsonl")" -gt 1
 
 echo "==> explain smoke (decision telemetry end to end)"
 # One short run per policy family plus a JSONL dump: `explain` must
@@ -69,9 +66,9 @@ echo "==> explain smoke (decision telemetry end to end)"
 for policy in explore distant branch; do
     ./target/release/clustered explain --workload gzip --policy "$policy" \
         --warmup 2000 --instructions 25000 --limit 5 \
-        --decisions "$CACHE_TMP/$policy.jsonl" > "$CACHE_TMP/$policy.txt"
-    grep -q "decision timeline" "$CACHE_TMP/$policy.txt"
-    test -s "$CACHE_TMP/$policy.jsonl"
+        --decisions "$CI_TMP/$policy.jsonl" > "$CI_TMP/$policy.txt"
+    grep -q "decision timeline" "$CI_TMP/$policy.txt"
+    test -s "$CI_TMP/$policy.jsonl"
 done
 
 echo "==> perf smoke (host profiler end to end)"
@@ -79,12 +76,12 @@ echo "==> perf smoke (host profiler end to end)"
 # throughput and the Chrome trace must be written and non-empty.
 ./target/release/clustered perf --workload gzip --policy explore \
     --warmup 2000 --instructions 25000 --sample-interval 5000 \
-    --out "$CACHE_TMP/host_trace.json" > "$CACHE_TMP/perf.txt"
-grep -q "sim cycles/sec" "$CACHE_TMP/perf.txt"
-test -s "$CACHE_TMP/host_trace.json"
+    --out "$CI_TMP/host_trace.json" > "$CI_TMP/perf.txt"
+grep -q "sim cycles/sec" "$CI_TMP/perf.txt"
+test -s "$CI_TMP/host_trace.json"
 ./target/release/clustered perf --workload gzip --warmup 2000 \
-    --instructions 25000 --json > "$CACHE_TMP/perf.json"
-grep -q '"sim_cycles_per_sec"' "$CACHE_TMP/perf.json"
+    --instructions 25000 --json > "$CI_TMP/perf.json"
+grep -q '"sim_cycles_per_sec"' "$CI_TMP/perf.json"
 
 echo "==> conservation-law audit (strict, grid subset)"
 # The full 360-point grid runs under `cargo test --test audit_grid`
@@ -105,28 +102,28 @@ echo "==> diff smoke (same config identical, cross-policy drifted)"
 # must produce structured per-counter deltas with verdict `drifted`.
 ./target/release/clustered run --workload gzip --policy explore \
     --warmup 2000 --instructions 20000 --json \
-    --ledger "$CACHE_TMP/ledger.jsonl" > "$CACHE_TMP/run_a.json"
+    --ledger "$CI_TMP/ledger.jsonl" > "$CI_TMP/run_a.json"
 ./target/release/clustered run --workload gzip --policy explore \
     --warmup 2000 --instructions 20000 --json \
-    --ledger "$CACHE_TMP/ledger.jsonl" > "$CACHE_TMP/run_b.json"
+    --ledger "$CI_TMP/ledger.jsonl" > "$CI_TMP/run_b.json"
 ./target/release/clustered run --workload gzip --policy fixed --clusters 8 \
     --warmup 2000 --instructions 20000 --json \
-    --ledger "$CACHE_TMP/ledger.jsonl" > "$CACHE_TMP/run_c.json"
-./target/release/clustered diff "$CACHE_TMP/run_a.json" "$CACHE_TMP/run_b.json" \
-    > "$CACHE_TMP/diff_ab.txt"
-grep -q "verdict: identical" "$CACHE_TMP/diff_ab.txt"
-./target/release/clustered diff "$CACHE_TMP/run_a.json" "$CACHE_TMP/run_c.json" \
-    --json > "$CACHE_TMP/diff_ac.json"
-grep -q '"verdict": "drifted"' "$CACHE_TMP/diff_ac.json"
-grep -q '"changed"' "$CACHE_TMP/diff_ac.json"
+    --ledger "$CI_TMP/ledger.jsonl" > "$CI_TMP/run_c.json"
+./target/release/clustered diff "$CI_TMP/run_a.json" "$CI_TMP/run_b.json" \
+    > "$CI_TMP/diff_ab.txt"
+grep -q "verdict: identical" "$CI_TMP/diff_ab.txt"
+./target/release/clustered diff "$CI_TMP/run_a.json" "$CI_TMP/run_c.json" \
+    --json > "$CI_TMP/diff_ac.json"
+grep -q '"verdict": "drifted"' "$CI_TMP/diff_ac.json"
+grep -q '"changed"' "$CI_TMP/diff_ac.json"
 
 echo "==> run ledger + report smoke"
 # The three --ledger runs above registered their provenance; the
 # report must aggregate them into both policy groups.
-./target/release/clustered report --ledger "$CACHE_TMP/ledger.jsonl" \
-    > "$CACHE_TMP/report.txt"
-grep -q "interval-explore" "$CACHE_TMP/report.txt"
-grep -q "fixed-8" "$CACHE_TMP/report.txt"
+./target/release/clustered report --ledger "$CI_TMP/ledger.jsonl" \
+    > "$CI_TMP/report.txt"
+grep -q "interval-explore" "$CI_TMP/report.txt"
+grep -q "fixed-8" "$CI_TMP/report.txt"
 
 echo "==> bench-cmp gate (perf-regression tool self-check)"
 # Every committed BENCH trajectory compared against itself must pass,
@@ -141,23 +138,14 @@ for bench in results/BENCH_*.json; do
         echo "    (skipping $bench: no harness cases array)"
     fi
 done
-sed 's/"min_ns": /"min_ns": 9/' results/BENCH_sweeps.json > "$CACHE_TMP/perturbed.json"
+sed 's/"min_ns": /"min_ns": 9/' results/BENCH_sweeps.json > "$CI_TMP/perturbed.json"
 status=0
-./target/release/bench-cmp results/BENCH_sweeps.json "$CACHE_TMP/perturbed.json" \
+./target/release/bench-cmp results/BENCH_sweeps.json "$CI_TMP/perturbed.json" \
     > /dev/null || status=$?
 if [ "$status" -ne 1 ]; then
     echo "bench-cmp must exit 1 on an injected regression, got $status" >&2
     exit 1
 fi
-
-echo "==> trace info smoke (compiled-table report)"
-# `trace info` must compile the table on demand and report its size and
-# block count; the cold run above populated the cache with .ctrace
-# files we can inspect.
-first_trace=$(ls "$CACHE_TMP/traces/"*.ctrace | head -n 1)
-./target/release/clustered trace info "$first_trace" > "$CACHE_TMP/traceinfo.txt"
-grep -q "compiled table" "$CACHE_TMP/traceinfo.txt"
-grep -q "basic blocks" "$CACHE_TMP/traceinfo.txt"
 
 echo "==> cargo doc --workspace --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

