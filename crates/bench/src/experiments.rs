@@ -61,14 +61,9 @@ pub struct Window {
 }
 
 impl Window {
-    /// `CLUSTERED_WARMUP` / `CLUSTERED_MEASURE`, or the defaults when
-    /// unset.
-    fn from_env() -> Result<Window, String> {
-        Window::from_vars(|name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned()))
-    }
-
-    /// [`Window::from_env`] over any variable lookup; a set variable
-    /// that is not a whole number is an error naming it.
+    /// `CLUSTERED_WARMUP` / `CLUSTERED_MEASURE` read through `var`, or
+    /// the defaults when unset; a set variable that is not a whole
+    /// number is an error naming it.
     fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Window, String> {
         let read = |name: &str, default| match var(name) {
             None => Ok(default),
@@ -283,10 +278,18 @@ impl Settings {
     /// # Errors
     ///
     /// A message naming `CLUSTERED_WARMUP` or `CLUSTERED_MEASURE` when
-    /// either is set to something other than a whole number.
+    /// either is set to something other than a whole number, or naming
+    /// `CLUSTERED_JOBS` when it is set to anything but a positive
+    /// number.
     pub fn from_env() -> Result<Settings, String> {
-        let window = Window::from_env()?;
-        Ok(Settings { window, jobs: jobs(), results_dir: PathBuf::from("results") })
+        Settings::from_vars(|name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned()))
+    }
+
+    /// [`Settings::from_env`] over any variable lookup.
+    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Settings, String> {
+        let window = Window::from_vars(&var)?;
+        let jobs = jobs(var("CLUSTERED_JOBS").as_deref())?;
+        Ok(Settings { window, jobs, results_dir: PathBuf::from("results") })
     }
 }
 
@@ -304,8 +307,8 @@ fn usage() -> String {
 ///
 /// # Errors
 ///
-/// A one-line message for an unknown name or flag, or a result file or
-/// `out` that cannot be written.
+/// A one-line message for an unknown name or flag, a repeated flag, or
+/// a result file or `out` that cannot be written.
 pub fn cli(
     args: &[String],
     settings: &Settings,
@@ -317,6 +320,10 @@ pub fn cli(
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
+            "--json" if json => return Err("--json given more than once".into()),
+            "--decisions" if decisions.is_some() => {
+                return Err("--decisions given more than once".into())
+            }
             "--json" => json = true,
             "--decisions" => match args.next() {
                 Some(dir) if !dir.starts_with("--") => decisions = Some(PathBuf::from(dir)),
@@ -1443,6 +1450,23 @@ mod tests {
         assert!(err.contains("CLUSTERED_MEASURE"), "{err}");
     }
 
+    /// Unset `CLUSTERED_JOBS` means every core; a set value must be a
+    /// positive number, never a silent fall-back to every core.
+    #[test]
+    fn settings_reject_unparsable_jobs() {
+        let jobs = |value: Option<&'static str>| {
+            let var = move |name: &str| (name == "CLUSTERED_JOBS").then_some(value?.to_string());
+            Settings::from_vars(var).map(|s| s.jobs)
+        };
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(jobs(None), Ok(cores));
+        assert_eq!(jobs(Some("3")), Ok(3));
+        for bad in ["abc", "", "0", "-1"] {
+            let err = jobs(Some(bad)).unwrap_err();
+            assert!(err.contains("CLUSTERED_JOBS") && err.contains(&format!("`{bad}`")), "{err}");
+        }
+    }
+
     #[test]
     fn labels_sanitize_to_safe_file_stems() {
         assert_eq!(sanitize_label("gzip/16"), "gzip-16");
@@ -1478,6 +1502,8 @@ mod tests {
             &["tables", "--decisions"],
             &["tables", "--decisions", "--json"],
             &["tables", "fig3"],
+            &["tables", "--json", "--json"],
+            &["fig3", "--decisions", "a", "--decisions", "b"],
         ] {
             assert!(run(bad).is_err(), "{bad:?} must be rejected");
         }

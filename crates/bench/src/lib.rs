@@ -13,9 +13,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cmp;
 pub mod experiments;
-pub mod harness;
 pub mod sweep;
 
 use clustered_sim::{

@@ -15,9 +15,10 @@
 //!    to a serial run — each point's simulation is fully isolated, and
 //!    `tests/sweep.rs` pins the equivalence.
 //!
-//! The worker count defaults to the host's available parallelism;
-//! `CLUSTERED_JOBS=n` overrides it (`CLUSTERED_JOBS=1` forces the
-//! serial path).
+//! The `experiments` binary's worker count defaults to the host's
+//! available parallelism; `CLUSTERED_JOBS=n` overrides it
+//! (`CLUSTERED_JOBS=1` forces the serial path), and any other value is
+//! an error ([`jobs`]).
 //!
 //! Long grids are silent by default. Set `CLUSTERED_PROGRESS=1` to get
 //! one stderr line per completed point (completion count, label,
@@ -30,7 +31,7 @@
 //! # Examples
 //!
 //! ```
-//! use clustered_bench::sweep::{run_sweep, SweepPoint};
+//! use clustered_bench::sweep::{run_sweep_jobs, SweepPoint};
 //! use clustered_sim::{FixedPolicy, SimConfig};
 //! use clustered_workloads::CapturedTrace;
 //!
@@ -49,7 +50,7 @@
 //!         )
 //!     })
 //!     .collect();
-//! let stats = run_sweep(&points); // input order, regardless of finish order
+//! let stats = run_sweep_jobs(&points, 2); // input order, regardless of finish order
 //! assert_eq!(stats.len(), 2);
 //! assert!(stats.iter().all(|s| s.committed >= 5_000));
 //! ```
@@ -145,15 +146,22 @@ impl std::fmt::Debug for SweepPoint {
     }
 }
 
-/// The sweep worker count: `CLUSTERED_JOBS` if set to a positive
-/// integer, otherwise the host's available parallelism.
-pub fn jobs() -> usize {
-    if let Some(n) = std::env::var("CLUSTERED_JOBS").ok().and_then(|v| v.parse().ok()) {
-        if n > 0 {
-            return n;
-        }
+/// The sweep worker count for a `CLUSTERED_JOBS` value: the value when
+/// it is a positive integer, the host's available parallelism when the
+/// variable is unset (`None`).
+///
+/// # Errors
+///
+/// A message naming `CLUSTERED_JOBS` for any other value (`abc`, an
+/// empty value, `0`).
+pub fn jobs(value: Option<&str>) -> Result<usize, String> {
+    let Some(v) = value else {
+        return Ok(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get));
+    };
+    match v.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("CLUSTERED_JOBS expects a positive number, got `{v}`")),
     }
-    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
 /// Runs one point: instantiates its policy, replays the compiled form
@@ -427,14 +435,9 @@ pub fn run_sweep_serial(points: &[SweepPoint]) -> Vec<SimStats> {
     run_sweep_with(points, 1, run_point)
 }
 
-/// Runs the grid on [`jobs`] worker threads and returns statistics in
+/// Runs the grid on `jobs` worker threads and returns statistics in
 /// input order. Bit-identical to [`run_sweep_serial`] — scheduling
 /// cannot leak into the results because every simulation is isolated.
-pub fn run_sweep(points: &[SweepPoint]) -> Vec<SimStats> {
-    run_sweep_jobs(points, jobs())
-}
-
-/// [`run_sweep`] with an explicit worker count.
 ///
 /// # Panics
 ///
@@ -447,7 +450,7 @@ pub fn run_sweep_jobs(points: &[SweepPoint], jobs: usize) -> Vec<SimStats> {
 /// The generic sweep executor: applies `runner` to every point on up
 /// to `jobs` worker threads and returns the results in input order.
 ///
-/// [`run_sweep`] is `run_sweep_with(points, jobs(), run_point)`; pass
+/// [`run_sweep_jobs`] is `run_sweep_with(points, jobs, run_point)`; pass
 /// `|p| run_point_with(p, DecisionTrace::new())` to collect decision
 /// telemetry per point, or any custom closure whose result implements
 /// [`SweepOutcome`]. With

@@ -143,6 +143,9 @@ impl Flags {
             if !known.contains(&name) {
                 return Err(format!("unknown flag `--{name}`\n{USAGE}"));
             }
+            if values.iter().any(|(n, _)| n == name) {
+                return Err(format!("--{name} given more than once"));
+            }
             let value = it.next_if(|next| !next.starts_with("--")).cloned();
             match &value {
                 Some(v) if SWITCHES.contains(&name) => {
@@ -688,20 +691,24 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
 /// or malformed inputs are errors.
 fn cmd_diff(args: &[String]) -> Result<(), String> {
     let mut paths: Vec<&str> = Vec::new();
-    let mut threshold = DEFAULT_DIFF_THRESHOLD;
+    let mut threshold = None;
     let mut json = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
+            "--json" if json => return Err("--json given more than once".into()),
+            "--threshold" if threshold.is_some() => {
+                return Err("--threshold given more than once".into())
+            }
             "--json" => json = true,
             "--threshold" => {
                 let v = it.next().ok_or("--threshold expects a number")?;
-                threshold = v
-                    .parse()
-                    .map_err(|_| format!("--threshold expects a number, got `{v}`"))?;
-                if threshold.is_nan() || threshold < 0.0 {
+                let t: f64 =
+                    v.parse().map_err(|_| format!("--threshold expects a number, got `{v}`"))?;
+                if t.is_nan() || t < 0.0 {
                     return Err(format!("--threshold must be >= 0, got `{v}`"));
                 }
+                threshold = Some(t);
             }
             other if other.starts_with("--") => {
                 return Err(format!("unknown flag `{other}`\n{USAGE}"))
@@ -717,7 +724,7 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
             std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
         clustered::stats::json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))
     };
-    let report = diff_docs(&read(a)?, &read(b)?, threshold);
+    let report = diff_docs(&read(a)?, &read(b)?, threshold.unwrap_or(DEFAULT_DIFF_THRESHOLD));
     if json {
         println!("{}", report.to_json().to_string_pretty());
     } else {

@@ -686,6 +686,31 @@ fn flags_without_values_and_switches_with_values_are_rejected() {
     assert!(out.status.success(), "stderr: {}", stderr(&out));
 }
 
+/// A flag given twice is an error naming it, not a silent pick of one
+/// of its two values.
+#[test]
+fn repeated_flags_are_rejected() {
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["run", "--warmup", "0", "--instructions", "100", "--instructions", "3000", "--json"],
+            "--instructions given more than once",
+        ),
+        (&["run", "--workload", "gzip", "--workload", "swim"], "--workload given more than once"),
+        (&["perf", "--json", "--json"], "--json given more than once"),
+        (&["diff", "a.json", "b.json", "--json", "--json"], "--json given more than once"),
+        (
+            &["diff", "a.json", "b.json", "--threshold", "1", "--threshold", "2"],
+            "--threshold given more than once",
+        ),
+    ];
+    for (args, needle) in cases {
+        let out = clustered(args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        assert!(stderr(&out).contains(needle), "args {args:?}: {}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "args {args:?}: {}", stdout(&out));
+    }
+}
+
 /// The on-disk trace commands are gone: each is rejected before any
 /// simulation runs.
 #[test]
