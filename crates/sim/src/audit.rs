@@ -27,7 +27,7 @@
 //!   skipped, never both, never neither.
 //! - **event-conservation** — calendar-queue `pushed == popped +
 //!   pending`: scheduled work is delivered or still queued, never
-//!   duplicated or lost across the shards and the overflow heap.
+//!   duplicated or lost between the calendar and the overflow heap.
 //! - **rob-bound / fetch-queue-bound / iq-bound / lsq-bound** —
 //!   structure occupancies never exceed their configured capacities.
 //!
@@ -79,7 +79,7 @@ pub struct AuditCheck<'a> {
     pub events_pushed: u64,
     /// Calendar-queue events ever delivered.
     pub events_popped: u64,
-    /// Calendar-queue events currently live (shards + overflow).
+    /// Calendar-queue events currently live (calendar + overflow).
     pub events_pending: u64,
 }
 

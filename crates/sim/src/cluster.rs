@@ -10,7 +10,7 @@
 //! hottest per-cycle path. It is now flat and allocation-free in
 //! steady state:
 //!
-//! - **Pending ring** — a small per-cluster calendar (the event-shard
+//! - **Pending ring** — a small per-cluster calendar (the event-queue
 //!   trick from `pipeline/events.rs`, scoped to operand ready times):
 //!   [`RING_WINDOW`] buckets indexed by `ready_at % RING_WINDOW`, an
 //!   occupancy bitmap to skip empty buckets, and entries packed as
@@ -27,8 +27,8 @@
 //! at `select(now)` every instruction with `ready_at <= now` is
 //! visible (bucket drain order inside one call cannot matter — the
 //! ready vec re-sorts by seq), groups are scanned in fixed order, and
-//! each free unit takes the smallest ready seq. The 360-point shard
-//! oracle and the randomized model test in
+//! each free unit takes the smallest ready seq. The 360-point schedule
+//! oracle (`tests/shard_equivalence.rs`) and the randomized model test in
 //! `tests/cluster_select_props.rs` pin that equivalence.
 
 use crate::config::{ClusterParams, ExecLatencies};

@@ -36,7 +36,7 @@ pub const HOST_STAGE_COUNT: usize = 6;
 /// *partition* the measured loop time, so shares always sum to 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostStage {
-    /// Draining due events from the calendar queues.
+    /// Draining due events from the calendar queue.
     EventDrain,
     /// In-order retirement plus reconfiguration application.
     Commit,
@@ -82,7 +82,7 @@ impl HostStage {
 pub struct QueueHealth {
     /// The cycle the sample describes.
     pub cycle: u64,
-    /// Undelivered events waiting in the calendar rings.
+    /// Undelivered events waiting in the calendar ring.
     pub calendar_events: usize,
     /// Events parked in the far-future overflow heap.
     pub overflow_events: usize,
@@ -239,7 +239,7 @@ impl HostProfiler {
         }
     }
 
-    /// Events drained per cluster shard (load-skew raw data).
+    /// Events drained per cluster hint (load-skew raw data).
     pub fn drained_events(&self) -> &[u64; MAX_CLUSTERS] {
         &self.drained_events
     }
@@ -418,10 +418,10 @@ impl crate::observe::SimObserver for HostProfiler {
         }
     }
 
-    fn on_event_drained(&mut self, shard: usize) {
+    fn on_event_drained(&mut self, cluster: usize) {
         self.drained_total += 1;
-        if shard < MAX_CLUSTERS {
-            self.drained_events[shard] += 1;
+        if cluster < MAX_CLUSTERS {
+            self.drained_events[cluster] += 1;
         }
     }
 }
@@ -471,7 +471,7 @@ mod tests {
     }
 
     #[test]
-    fn drained_events_attribute_per_shard_and_compute_skew() {
+    fn drained_events_attribute_per_cluster_and_compute_skew() {
         let mut p = HostProfiler::default();
         assert_eq!(p.drained_skew(), 0.0, "empty profile has no skew");
         for _ in 0..6 {

@@ -173,12 +173,13 @@ pub trait SimObserver {
         let _ = sample;
     }
 
-    /// One event was drained from calendar shard `shard`.
+    /// One event was drained; `cluster` is the cluster (or LSQ slice)
+    /// it was scheduled for.
     ///
     /// Only delivered when [`Self::WANTS_HOST_PROFILE`] is `true`.
     #[inline(always)]
-    fn on_event_drained(&mut self, shard: usize) {
-        let _ = shard;
+    fn on_event_drained(&mut self, cluster: usize) {
+        let _ = cluster;
     }
 
     /// End-of-cycle machine-state snapshot for conservation-law
@@ -229,7 +230,7 @@ impl<A: SimObserver, B: SimObserver> SimObserver for (A, B) {
         on_decision(decision: &DecisionRecord);
         on_stage_nanos(nanos: &[u64; crate::host::HOST_STAGE_COUNT]);
         on_queue_health(sample: &crate::host::QueueHealth);
-        on_event_drained(shard: usize);
+        on_event_drained(cluster: usize);
         on_audit(check: &crate::audit::AuditCheck<'_>);
     }
 }

@@ -2,19 +2,18 @@
 //! paper's partitioned machine.
 //!
 //! A [`ClusterDomain`] owns everything one physical cluster can touch
-//! without talking to its neighbours: its calendar shard of the event
-//! queue, its flat scheduler ring, its issue-queue and free-register
-//! occupancy, its per-architectural-register value-availability table,
-//! and its slice of the in-flight value-copy timestamps. Cross-cluster
-//! effects — register copies, interconnect hops, LSQ/cache traffic,
-//! commit-time scatter — never write another domain's fields directly;
-//! they flow through the typed boundary messages of the backend
-//! ([`EventKind`](super::events::EventKind) events ordered by the
-//! global `(time, tick)` coordinator, interconnect transfer
-//! reservations, and the commit stage's architectural scatter; see
-//! DESIGN.md, "Cluster domains").
+//! without talking to its neighbours: its flat scheduler ring, its
+//! issue-queue and free-register occupancy, its per-architectural-
+//! register value-availability table, and its slice of the in-flight
+//! value-copy timestamps. Cross-cluster effects — register copies,
+//! interconnect hops, LSQ/cache traffic, commit-time scatter — never
+//! write another domain's fields directly; they flow through the typed
+//! boundary messages of the backend
+//! ([`EventKind`](super::events::EventKind) events in the machine-wide
+//! `(time, tick)` event queue, interconnect transfer reservations, and
+//! the commit stage's architectural scatter; see DESIGN.md, "Cluster
+//! domains").
 
-use super::events::Shard;
 use crate::cluster::{Cluster, FuGroup};
 use crate::config::ClusterParams;
 
@@ -27,8 +26,6 @@ use crate::config::ClusterParams;
 pub(super) struct ClusterDomain {
     /// The cluster's issue scheduler (ready/pending rings, FU busy).
     pub(super) sched: Cluster,
-    /// The cluster's calendar shard of the global event queue.
-    pub(super) shard: Shard,
     /// Issue-queue occupancy, `[int, fp]`.
     pub(super) iq_used: [usize; 2],
     /// Free physical registers, `[int, fp]`.
@@ -55,7 +52,6 @@ impl ClusterDomain {
     pub(super) fn new(params: &ClusterParams, rob_slots: usize) -> ClusterDomain {
         ClusterDomain {
             sched: Cluster::new(params),
-            shard: Shard::new(),
             iq_used: [0; 2],
             free_regs: [0; 2],
             arch_avail: [0; 64],

@@ -1,17 +1,17 @@
-//! The event coordinator and every event handler of the backend.
+//! The event queue and every event handler of the backend.
 //!
 //! Events — writebacks, AGU completions, LSQ arrivals, and store
 //! broadcasts — are the backend's *typed boundary messages*: the only
 //! way work crosses from one [`ClusterDomain`] into another or into
-//! the shared LSQ/cache/commit machinery. Each event waits in the
-//! calendar [`Shard`] owned by its destination domain, but the
-//! [`EventCoordinator`] drains all shards in one global `(time, tick)`
-//! order, so the schedule is exactly the one a single machine-wide
-//! queue would compute while quiescent clusters cost nothing (see
-//! DESIGN.md, "Sharded event model"). [`Processor::drain_events`] pops
-//! the globally earliest due event, runs its handler, and repeats.
+//! the shared LSQ/cache/commit machinery. They all wait in one
+//! machine-wide calendar [`EventQueue`] and fire in global `(time,
+//! tick)` order (see DESIGN.md, "Event model"); each carries the
+//! cluster it concerns as a hint, which the host profiler uses to
+//! attribute drain work per cluster. [`Processor::drain_events`] pops
+//! the earliest due event, runs its handler, and repeats.
+//!
+//! [`ClusterDomain`]: super::domain::ClusterDomain
 
-use super::domain::ClusterDomain;
 use super::{Processor, ABSENT, STORE_VALUE_SLOT};
 use crate::cluster::FuGroup;
 use crate::config::CacheModel;
@@ -21,8 +21,8 @@ use clustered_isa::OpClass;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-// The shard frontier is a u32 bitmask, one bit per physical cluster.
-const _: () = assert!(crate::config::MAX_CLUSTERS <= 32, "frontier mask is a u32");
+// Every queued event stores its cluster hint in a u8.
+const _: () = assert!(crate::config::MAX_CLUSTERS <= 256, "the cluster hint is a u8");
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(super) enum EventKind {
@@ -47,216 +47,74 @@ pub(super) enum EventKind {
     },
 }
 
-/// Calendar window per shard, in cycles; a power of two. Nothing in
-/// the machine schedules farther ahead than a memory round trip (~200
-/// cycles at the default latencies), but events beyond the window are
-/// still correct: they wait in a shared overflow heap until the window
-/// reaches them. The window is sized just past that lookahead on
-/// purpose — 16 shards of bucket headers are walked by every push and
-/// pop, so calendar memory is hot-loop working set, not slack space.
+/// Calendar window, in cycles; a power of two. Nothing in the machine
+/// schedules farther ahead than a memory round trip (~200 cycles at
+/// the default latencies), but events beyond the window are still
+/// correct: they wait in the overflow heap until the window reaches
+/// them. The window is sized just past that lookahead on purpose —
+/// bucket headers are walked by every push and pop, so calendar memory
+/// is hot-loop working set, not slack space.
 const CAL_WINDOW: usize = 512;
 const CAL_MASK: usize = CAL_WINDOW - 1;
 const CAL_WORDS: usize = CAL_WINDOW / 64;
 
-// The per-shard occupancy summary is a single u64, one bit per word.
+// The occupancy summary is a single u64, one bit per word.
 const _: () = assert!(CAL_WORDS <= 64, "calendar summary bitmap is a u64");
 
-/// One time-indexed bucket of a shard's calendar: events of a single
+/// One time-indexed bucket of the calendar: the events of a single
 /// cycle, appended (and therefore delivered) in tick order.
 #[derive(Debug, Default, Clone)]
 struct Bucket {
+    /// The cycle every entry fires at; meaningful while `items` is
+    /// non-empty. Within the window exactly one cycle maps to a bucket.
+    time: u64,
     /// Next entry to deliver; earlier entries are already popped.
     next: usize,
-    /// `(time, tick, kind)` in push order.
-    items: Vec<(u64, u64, EventKind)>,
+    /// `(cluster hint, kind)` in push order.
+    items: Vec<(u8, EventKind)>,
 }
 
-/// One cluster's event calendar: a ring of [`CAL_WINDOW`] buckets
-/// indexed by `time % CAL_WINDOW`, with a two-level occupancy bitmap
-/// so the earliest pending bucket is found in a handful of bit
-/// operations. Push and pop are plain `Vec` appends/reads — no
-/// heap sift — which is what makes the event machinery cheap.
+/// The machine-wide event queue: a calendar ring of [`CAL_WINDOW`]
+/// buckets indexed by `time % CAL_WINDOW`, with a two-level occupancy
+/// bitmap so the earliest pending bucket is found in a handful of bit
+/// operations, plus an overflow heap for events beyond the window.
+/// Push and pop are plain `Vec` appends/reads — no heap sift — which
+/// is what makes the event machinery cheap.
 ///
-/// Owned by its [`ClusterDomain`]; the global ordering state (heads,
-/// winner tree, tick counter, floor) lives in the shared
-/// [`EventCoordinator`].
+/// `(time, tick)` totally orders all in-flight events (the `tick`
+/// counter grows with every push), and [`EventQueue::pop_due`] always
+/// returns the smallest due pair, so the drain order is exactly that of
+/// a `(time, tick)` min-heap. Within a bucket append order is tick
+/// order, because ticks grow with every push and overflow migration
+/// always precedes a same-cycle insert.
+///
+/// `next_due` is a lower bound on the earliest pending event time: on
+/// cycles with nothing due the drain returns after one comparison.
 #[derive(Debug)]
-pub(super) struct Shard {
+pub(super) struct EventQueue {
     buckets: Vec<Bucket>,
     /// Bit `i % 64` of `occ[i / 64]` ⇔ `buckets[i]` has undelivered
     /// entries.
     occ: [u64; CAL_WORDS],
     /// Bit `w` ⇔ `occ[w] != 0`.
     summary: u64,
-    len: usize,
-}
-
-impl Shard {
-    pub(super) fn new() -> Shard {
-        Shard {
-            buckets: vec![Bucket::default(); CAL_WINDOW],
-            occ: [0; CAL_WORDS],
-            summary: 0,
-            len: 0,
-        }
-    }
-
-    /// Undelivered events waiting in this shard.
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn insert(&mut self, time: u64, tick: u64, kind: EventKind) {
-        let idx = time as usize & CAL_MASK;
-        let b = &mut self.buckets[idx];
-        if b.items.is_empty() {
-            self.occ[idx >> 6] |= 1 << (idx & 63);
-            self.summary |= 1 << (idx >> 6);
-        }
-        b.items.push((time, tick, kind));
-        self.len += 1;
-    }
-
-    /// First occupied bucket at or (circularly) after ring position
-    /// `from`. The shard must be non-empty.
-    fn find_first(&self, from: usize) -> usize {
-        let w = from >> 6;
-        let bits = self.occ[w] & (!0u64 << (from & 63));
-        if bits != 0 {
-            return (w << 6) | bits.trailing_zeros() as usize;
-        }
-        let after = if w + 1 == CAL_WORDS { 0 } else { self.summary & (!0u64 << (w + 1)) };
-        debug_assert!(self.summary != 0, "searching an empty shard");
-        let sw = if after != 0 {
-            after.trailing_zeros() as usize
-        } else {
-            // Wrap: the earliest bucket is circularly before `from`.
-            self.summary.trailing_zeros() as usize
-        };
-        let bits = if sw == w { self.occ[w] & !(!0u64 << (from & 63)) } else { self.occ[sw] };
-        (sw << 6) | bits.trailing_zeros() as usize
-    }
-
-    /// The earliest undelivered event, as `(time, tick)`. `floor` must
-    /// lower-bound every undelivered time, which makes ring order from
-    /// `floor` equal to time order.
-    fn head(&self, floor: u64) -> (u64, u64) {
-        let b = &self.buckets[self.find_first(floor as usize & CAL_MASK)];
-        let (t, k, _) = b.items[b.next];
-        (t, k)
-    }
-
-    /// Pops the head of bucket `idx` — the shard's earliest event,
-    /// whose time the caller already knows (`time`, its cached head) —
-    /// and returns the kind plus the shard's new head `(time, tick)`
-    /// when it lives in the *same* bucket. Within the window exactly
-    /// one time maps to a bucket, so a non-exhausted bucket's next
-    /// entry is the shard head without touching the occupancy bitmaps;
-    /// `None` means the bucket emptied and the caller must rescan.
-    fn pop_at(&mut self, idx: usize, time: u64) -> (EventKind, Option<(u64, u64)>) {
-        let b = &mut self.buckets[idx];
-        debug_assert_eq!(b.items[b.next].0, time, "cached head time desynced from bucket");
-        let (_, _, kind) = b.items[b.next];
-        b.next += 1;
-        self.len -= 1;
-        if b.next == b.items.len() {
-            b.items.clear();
-            b.next = 0;
-            self.occ[idx >> 6] &= !(1 << (idx & 63));
-            if self.occ[idx >> 6] == 0 {
-                self.summary &= !(1 << (idx >> 6));
-            }
-            (kind, None)
-        } else {
-            (kind, Some((time, b.items[b.next].1)))
-        }
-    }
-}
-
-/// A winner tree over the shard head keys: `nodes[1]` holds the
-/// minimum `(time, tick, shard)` of all leaves, and changing one
-/// leaf's key replays only its root path — `log2(shards)` comparisons,
-/// where the flat scan it replaced compared every non-empty shard on
-/// every pop. Ticks are globally unique, so the minimum (and therefore
-/// the drain order) is unambiguous.
-#[derive(Debug)]
-struct HeadTree {
-    /// Implicit binary tree: internal nodes in `[1, size)`, leaf for
-    /// shard `c` at `size + c`. Padding leaves stay `(MAX, MAX, _)`.
-    nodes: Vec<(u64, u64, u32)>,
-    size: usize,
-}
-
-impl HeadTree {
-    fn new(shards: usize) -> HeadTree {
-        let size = shards.next_power_of_two().max(2);
-        let mut nodes = vec![(u64::MAX, u64::MAX, 0); 2 * size];
-        for c in 0..shards {
-            nodes[size + c].2 = c as u32;
-        }
-        HeadTree { nodes, size }
-    }
-
-    /// Sets shard `shard`'s head key and replays its path to the root.
-    #[inline]
-    fn update(&mut self, shard: usize, key: (u64, u64)) {
-        let mut n = self.size + shard;
-        self.nodes[n] = (key.0, key.1, shard as u32);
-        while n > 1 {
-            n >>= 1;
-            let l = self.nodes[2 * n];
-            let r = self.nodes[2 * n + 1];
-            self.nodes[n] = if (l.0, l.1) <= (r.0, r.1) { l } else { r };
-        }
-    }
-
-    /// The minimum head key and its shard.
-    #[inline]
-    fn min(&self) -> (u64, u64, u32) {
-        self.nodes[1]
-    }
-}
-
-/// The global ordering state over the per-domain calendar shards.
-///
-/// Each [`ClusterDomain`] owns its [`Shard`]; the coordinator owns
-/// everything that spans them: the cached shard heads and their winner
-/// tree, the *global* strictly-increasing `tick` counter, the
-/// `next_due`/`floor` watermarks, the far-future overflow heap, and
-/// the conservation counters. `(time, tick)` totally orders all
-/// in-flight events regardless of shard, and
-/// [`EventCoordinator::pop_due`] always returns the globally smallest
-/// due pair, which makes the drain order identical to a single
-/// machine-wide `(time, tick)` min-heap — the sharding only changes
-/// *where* events wait, never *when* they fire. Within a bucket (one
-/// shard, one cycle), append order is tick order because ticks grow
-/// with every push and overflow migration always precedes a same-time
-/// insert.
-///
-/// The frontier is the [`HeadTree`] minimum plus `next_due`, a lower
-/// bound on the earliest pending event time: on cycles with nothing
-/// due, the drain returns after one comparison, so a wide machine with
-/// idle clusters pays nothing for their empty queues.
-#[derive(Debug)]
-pub(super) struct EventCoordinator {
-    /// Cached earliest undelivered `(time, tick)` per shard —
-    /// `(u64::MAX, u64::MAX)` when empty. Only the shard actually
-    /// popped recomputes its head from calendar memory.
-    heads: Vec<(u64, u64)>,
-    /// Winner tree over `heads`; its root is the next event to fire.
-    tree: HeadTree,
-    /// Global tie-break counter, monotone across all shards.
+    /// Undelivered events in the calendar ring (overflow excluded).
+    calendar: usize,
+    /// Tie-break counter, one step per push.
     tick: u64,
     /// Lower bound on the earliest pending event time; exact after a
     /// scan that found nothing due, and pushes can only lower it.
     next_due: u64,
     /// Lower bound on every undelivered event time; advances with the
     /// drain. Scheduling below it would mean firing in the already-
-    /// delivered past — a sim bug, asserted in debug builds.
+    /// delivered past — a sim bug, asserted in debug builds. Every
+    /// calendar event lies in `[floor, floor + CAL_WINDOW)`, so ring
+    /// order from `floor` is time order.
     floor: u64,
-    /// Events beyond the calendar window, ordered by `(time, tick,
-    /// shard)`; migrated into their shard once the window reaches them.
-    overflow: BinaryHeap<Reverse<(u64, u64, u32, EventKind)>>,
+    /// Events beyond the calendar window, ordered by `(time, tick)`
+    /// and carrying their cluster hint; migrated into the ring once the
+    /// window reaches them.
+    overflow: BinaryHeap<Reverse<(u64, u64, u8, EventKind)>>,
     /// Cumulative events ever pushed (calendar or overflow). With
     /// `popped` and the live totals this is the auditor's conservation
     /// law: `pushed == popped + pending`. Two u64 increments on paths
@@ -267,11 +125,13 @@ pub(super) struct EventCoordinator {
     popped: u64,
 }
 
-impl EventCoordinator {
-    pub(super) fn new(shards: usize) -> EventCoordinator {
-        EventCoordinator {
-            heads: vec![(u64::MAX, u64::MAX); shards],
-            tree: HeadTree::new(shards),
+impl EventQueue {
+    pub(super) fn new() -> EventQueue {
+        EventQueue {
+            buckets: vec![Bucket::default(); CAL_WINDOW],
+            occ: [0; CAL_WORDS],
+            summary: 0,
+            calendar: 0,
             tick: 0,
             next_due: u64::MAX,
             floor: 0,
@@ -281,135 +141,149 @@ impl EventCoordinator {
         }
     }
 
-    fn insert(&mut self, domains: &mut [ClusterDomain], shard: usize, time: u64, tick: u64, kind: EventKind) {
-        domains[shard].shard.insert(time, tick, kind);
-        if (time, tick) < self.heads[shard] {
-            self.heads[shard] = (time, tick);
-            self.tree.update(shard, (time, tick));
+    fn insert(&mut self, time: u64, cluster: u8, kind: EventKind) {
+        let idx = time as usize & CAL_MASK;
+        let b = &mut self.buckets[idx];
+        if b.items.is_empty() {
+            b.time = time;
+            self.occ[idx >> 6] |= 1 << (idx & 63);
+            self.summary |= 1 << (idx >> 6);
         }
+        debug_assert_eq!(b.time, time, "two cycles share a calendar bucket");
+        b.items.push((cluster, kind));
+        self.calendar += 1;
+    }
+
+    /// First occupied bucket at or (circularly) after ring position
+    /// `from`. The calendar must be non-empty.
+    fn find_first(&self, from: usize) -> usize {
+        let w = from >> 6;
+        let bits = self.occ[w] & (!0u64 << (from & 63));
+        if bits != 0 {
+            return (w << 6) | bits.trailing_zeros() as usize;
+        }
+        let after = if w + 1 == CAL_WORDS { 0 } else { self.summary & (!0u64 << (w + 1)) };
+        debug_assert!(self.summary != 0, "searching an empty calendar");
+        let sw = if after != 0 {
+            after.trailing_zeros() as usize
+        } else {
+            // Wrap: the earliest bucket is circularly before `from`.
+            self.summary.trailing_zeros() as usize
+        };
+        let bits = if sw == w { self.occ[w] & !(!0u64 << (from & 63)) } else { self.occ[sw] };
+        (sw << 6) | bits.trailing_zeros() as usize
     }
 
     /// Moves overflow events with `time <= limit` (and within the
-    /// window) into their calendars. Called before any same-time insert
+    /// window) into the calendar. Called before any same-time insert
     /// so bucket append order stays tick order: an overflow event is
     /// always older (smaller tick) than a calendar push for the same
     /// cycle, because the window only ever advances.
-    fn migrate_overflow_upto(&mut self, domains: &mut [ClusterDomain], limit: u64) {
-        while let Some(&Reverse((t, k, c, kind))) = self.overflow.peek() {
+    fn migrate_overflow_upto(&mut self, limit: u64) {
+        while let Some(&Reverse((t, _, cluster, kind))) = self.overflow.peek() {
             if t > limit || t.saturating_sub(self.floor) >= CAL_WINDOW as u64 {
                 break;
             }
             self.overflow.pop();
-            self.insert(domains, c as usize, t, k, kind);
+            self.insert(t, cluster, kind);
         }
     }
 
-    fn overflow_head_time(&self) -> u64 {
-        self.overflow.peek().map_or(u64::MAX, |&Reverse((t, ..))| t)
-    }
-
-    pub(super) fn push(&mut self, domains: &mut [ClusterDomain], shard: usize, time: u64, kind: EventKind) {
+    /// Queues `kind` to fire at `time`, tagged with `cluster`.
+    pub(super) fn push(&mut self, cluster: usize, time: u64, kind: EventKind) {
         debug_assert!(time >= self.floor, "event scheduled in the delivered past");
+        debug_assert!(cluster < crate::config::MAX_CLUSTERS, "cluster hint {cluster} out of range");
         let time = time.max(self.floor);
+        let cluster = cluster as u8;
         self.pushed += 1;
         self.tick += 1;
-        let tick = self.tick;
         if !self.overflow.is_empty() {
-            self.migrate_overflow_upto(domains, time);
+            self.migrate_overflow_upto(time);
         }
         if time - self.floor >= CAL_WINDOW as u64 {
-            self.overflow.push(Reverse((time, tick, shard as u32, kind)));
+            self.overflow.push(Reverse((time, self.tick, cluster, kind)));
         } else {
-            self.insert(domains, shard, time, tick, kind);
+            self.insert(time, cluster, kind);
         }
         self.next_due = self.next_due.min(time);
     }
 
-    /// Pops the globally earliest event if it is due at `now`,
-    /// returning it with the shard it waited in (the host profiler's
+    /// Pops the earliest event if it is due at `now`, returning it with
+    /// the cluster hint it was pushed with (the host profiler's
     /// load-skew attribution key).
     ///
-    /// Reads the winner tree's root for the minimum `(time, tick)`
-    /// head; ticks are globally unique, so the winner is unambiguous
-    /// and matches the pop order of one machine-wide heap. Only the
-    /// winning shard's calendar memory is touched. Returns `None` —
-    /// after refreshing `next_due` exactly — once nothing is due, so
-    /// the caller's next idle cycle is a single comparison.
-    pub(super) fn pop_due(&mut self, domains: &mut [ClusterDomain], now: u64) -> Option<(usize, EventKind)> {
+    /// Returns `None` — after refreshing `next_due` exactly — once
+    /// nothing is due, so the caller's next idle cycle is a single
+    /// comparison.
+    pub(super) fn pop_due(&mut self, now: u64) -> Option<(usize, EventKind)> {
         if self.next_due > now {
             return None;
         }
         loop {
             if !self.overflow.is_empty() {
-                self.migrate_overflow_upto(domains, now);
+                self.migrate_overflow_upto(now);
             }
-            // `t == u64::MAX` is the tree's "all shards empty" key,
-            // not a due event — no real event is ever scheduled there
-            // (times are `now` plus bounded latencies).
-            match self.tree.min() {
-                (t, _, c) if t <= now && t != u64::MAX => {
-                    let c = c as usize;
-                    // The cached head names the bucket directly; no
-                    // occupancy-bitmap walk on the common path.
-                    let idx = t as usize & CAL_MASK;
-                    let (kind, same_bucket) = domains[c].shard.pop_at(idx, t);
-                    let head = if domains[c].shard.len() == 0 {
-                        (u64::MAX, u64::MAX)
-                    } else if let Some(head) = same_bucket {
-                        head
-                    } else {
-                        domains[c].shard.head(self.floor)
-                    };
-                    self.heads[c] = head;
-                    self.tree.update(c, head);
-                    self.popped += 1;
-                    return Some((c, kind));
-                }
-                (t, ..) => {
-                    // Nothing due in the calendars; `t` and the overflow
-                    // head bound every live event, so the floor may rise
-                    // to their minimum.
-                    let oh = self.overflow_head_time();
-                    if !self.overflow.is_empty() && oh <= now {
-                        // A due overflow event was blocked by the stale
-                        // window: raise the floor and retry (each pass
-                        // migrates at least one event, so this ends).
-                        self.floor = self.floor.max(t.min(oh));
-                        continue;
+            let head = if self.calendar == 0 {
+                u64::MAX
+            } else {
+                let idx = self.find_first(self.floor as usize & CAL_MASK);
+                let b = &mut self.buckets[idx];
+                if b.time <= now {
+                    let (cluster, kind) = b.items[b.next];
+                    b.next += 1;
+                    if b.next == b.items.len() {
+                        b.items.clear();
+                        b.next = 0;
+                        self.occ[idx >> 6] &= !(1 << (idx & 63));
+                        if self.occ[idx >> 6] == 0 {
+                            self.summary &= !(1 << (idx >> 6));
+                        }
                     }
-                    self.next_due = t.min(oh);
-                    self.floor = self.floor.max(now.saturating_add(1));
-                    return None;
+                    self.calendar -= 1;
+                    self.popped += 1;
+                    return Some((cluster as usize, kind));
                 }
+                b.time
+            };
+            // Nothing due in the calendar; `head` and the overflow head
+            // bound every live event, so the floor may rise to their
+            // minimum.
+            let oh = self.overflow.peek().map_or(u64::MAX, |&Reverse((t, ..))| t);
+            if !self.overflow.is_empty() && oh <= now {
+                // A due overflow event was blocked by the stale window:
+                // raise the floor and retry (each pass migrates at
+                // least one event, so this ends).
+                self.floor = self.floor.max(head.min(oh));
+                continue;
             }
+            self.next_due = head.min(oh);
+            self.floor = self.floor.max(now.saturating_add(1));
+            return None;
         }
     }
 
     /// Queue-health snapshot for the host profiler:
-    /// `(calendar_events, overflow_events, floor)`. O(shards) — only
-    /// called from the profiled cycle loop.
-    pub(super) fn health(&self, domains: &[ClusterDomain]) -> (usize, usize, u64) {
-        let calendar: usize = domains.iter().map(|d| d.shard.len()).sum();
-        (calendar, self.overflow.len(), self.floor)
+    /// `(calendar_events, overflow_events, floor)`.
+    pub(super) fn health(&self) -> (usize, usize, u64) {
+        (self.calendar, self.overflow.len(), self.floor)
     }
 
     /// Conservation snapshot for the auditor: `(pushed, popped,
     /// pending)`, where `pending` counts live calendar + overflow
     /// events. Every pushed event is either delivered or still
     /// pending: `pushed == popped + pending` at every cycle boundary.
-    pub(super) fn conservation(&self, domains: &[ClusterDomain]) -> (u64, u64, u64) {
-        let pending: usize =
-            domains.iter().map(|d| d.shard.len()).sum::<usize>() + self.overflow.len();
+    pub(super) fn conservation(&self) -> (u64, u64, u64) {
+        let pending = self.calendar + self.overflow.len();
         (self.pushed, self.popped, pending as u64)
     }
 }
 
 impl<T: TraceSource, O: SimObserver> Processor<T, O> {
-    /// Queues `kind` to fire at `time` in `shard`'s event queue. The
-    /// shard is a locality hint only — the drain order is global — so
-    /// callers pass whichever cluster or LSQ slice the event concerns.
-    pub(super) fn schedule(&mut self, shard: usize, time: u64, kind: EventKind) {
-        self.events.push(&mut self.domains, shard, time, kind);
+    /// Queues `kind` to fire at `time`. `cluster` is an attribution
+    /// hint only — the drain order is global — so callers pass
+    /// whichever cluster or LSQ slice the event concerns.
+    pub(super) fn schedule(&mut self, cluster: usize, time: u64, kind: EventKind) {
+        self.events.push(cluster, time, kind);
     }
 
     /// Dispatches one delivered event to its handler.
@@ -428,9 +302,9 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
     /// Delivers every event due this cycle, one at a time, in global
     /// `(time, tick)` order, each handler running before the next pop.
     pub(super) fn drain_events(&mut self) {
-        while let Some((shard, kind)) = self.events.pop_due(&mut self.domains, self.now) {
+        while let Some((cluster, kind)) = self.events.pop_due(self.now) {
             if O::WANTS_HOST_PROFILE {
-                self.observer.on_event_drained(shard);
+                self.observer.on_event_drained(cluster);
             }
             self.handle(kind);
         }
@@ -755,30 +629,25 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::domain::ClusterDomain;
-    use super::{EventCoordinator, EventKind};
+    use super::{EventKind, EventQueue, CAL_WINDOW};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn wb(seq: u64) -> EventKind {
         EventKind::WriteBack { seq }
     }
 
-    fn harness(n: usize) -> (EventCoordinator, Vec<ClusterDomain>) {
-        let params = crate::config::SimConfig::default().clusters;
-        let domains = (0..n).map(|_| ClusterDomain::new(&params, 8)).collect();
-        (EventCoordinator::new(n), domains)
-    }
-
-    /// The sharded queue must pop in exactly the `(time, tick)` order
-    /// of one global heap, regardless of which shard events sit in.
+    /// The queue must pop in exactly the `(time, tick)` order of one
+    /// min-heap, whatever cluster each event is tagged with.
     #[test]
     fn pop_order_is_global_time_then_tick() {
-        let (mut s, mut d) = harness(4);
-        s.push(&mut d, 3, 10, wb(1)); // tick 1
-        s.push(&mut d, 0, 10, wb(2)); // tick 2: same time, later tick → after
-        s.push(&mut d, 2, 5, wb(3)); // tick 3: earlier time → first
-        s.push(&mut d, 1, 10, wb(4)); // tick 4
+        let mut s = EventQueue::new();
+        s.push(3, 10, wb(1)); // tick 1
+        s.push(0, 10, wb(2)); // tick 2: same time, later tick → after
+        s.push(2, 5, wb(3)); // tick 3: earlier time → first
+        s.push(1, 10, wb(4)); // tick 4
         let mut order = Vec::new();
-        while let Some((_, kind)) = s.pop_due(&mut d, u64::MAX) {
+        while let Some((_, kind)) = s.pop_due(u64::MAX) {
             order.push(kind);
         }
         assert_eq!(order, vec![wb(3), wb(1), wb(2), wb(4)]);
@@ -786,30 +655,30 @@ mod tests {
 
     #[test]
     fn pop_due_respects_now_and_refreshes_frontier() {
-        let (mut s, mut d) = harness(2);
-        s.push(&mut d, 0, 7, wb(1));
-        s.push(&mut d, 1, 3, wb(2));
-        assert_eq!(s.pop_due(&mut d, 2), None, "nothing due before cycle 3");
+        let mut s = EventQueue::new();
+        s.push(0, 7, wb(1));
+        s.push(1, 3, wb(2));
+        assert_eq!(s.pop_due(2), None, "nothing due before cycle 3");
         assert_eq!(s.next_due, 3, "scan refreshed the frontier exactly");
-        assert_eq!(s.pop_due(&mut d, 3), Some((1, wb(2))));
-        assert_eq!(s.pop_due(&mut d, 3), None);
+        assert_eq!(s.pop_due(3), Some((1, wb(2))));
+        assert_eq!(s.pop_due(3), None);
         assert_eq!(s.next_due, 7);
-        assert_eq!(s.pop_due(&mut d, 7), Some((0, wb(1))));
-        assert_eq!(s.pop_due(&mut d, u64::MAX), None);
-        assert_eq!(s.tree.min().0, u64::MAX, "drained shards leave the frontier");
+        assert_eq!(s.pop_due(7), Some((0, wb(1))));
+        assert_eq!(s.pop_due(u64::MAX), None);
+        assert_eq!(s.health().0, 0, "a drained calendar holds nothing");
         assert_eq!(s.next_due, u64::MAX);
     }
 
     /// Events pushed while draining (handler chains within one cycle)
-    /// are seen by the same drain, as with the former single heap.
+    /// are seen by the same drain.
     #[test]
     fn same_cycle_chains_are_visible() {
-        let (mut s, mut d) = harness(2);
-        s.push(&mut d, 0, 4, wb(1));
-        assert_eq!(s.pop_due(&mut d, 4), Some((0, wb(1))));
-        s.push(&mut d, 1, 4, wb(2)); // a handler scheduling for the same cycle
-        assert_eq!(s.pop_due(&mut d, 4), Some((1, wb(2))));
-        assert_eq!(s.pop_due(&mut d, 4), None);
+        let mut s = EventQueue::new();
+        s.push(0, 4, wb(1));
+        assert_eq!(s.pop_due(4), Some((0, wb(1))));
+        s.push(1, 4, wb(2)); // a handler scheduling for the same cycle
+        assert_eq!(s.pop_due(4), Some((1, wb(2))));
+        assert_eq!(s.pop_due(4), None);
     }
 
     /// The calendar ring wraps: once the floor has advanced, a bucket
@@ -817,65 +686,143 @@ mod tests {
     /// order must still win over ring order.
     #[test]
     fn calendar_ring_wrap_keeps_time_order() {
-        let w = super::CAL_WINDOW as u64;
-        let (mut s, mut d) = harness(1);
-        s.push(&mut d, 0, w - 100, wb(1));
-        assert_eq!(s.pop_due(&mut d, w - 100), Some((0, wb(1))));
-        assert_eq!(s.pop_due(&mut d, w - 100), None); // floor advances past w - 100
-        s.push(&mut d, 0, w - 1, wb(2)); // last bucket of the ring
-        s.push(&mut d, 0, w + 300, wb(3)); // wraps to a bucket before the floor's
-        assert_eq!(s.pop_due(&mut d, w + 300), Some((0, wb(2))));
-        assert_eq!(s.pop_due(&mut d, w + 300), Some((0, wb(3))));
-        assert_eq!(s.pop_due(&mut d, w + 300), None);
+        let w = CAL_WINDOW as u64;
+        let mut s = EventQueue::new();
+        s.push(0, w - 100, wb(1));
+        assert_eq!(s.pop_due(w - 100), Some((0, wb(1))));
+        assert_eq!(s.pop_due(w - 100), None); // floor advances past w - 100
+        s.push(0, w - 1, wb(2)); // last bucket of the ring
+        s.push(0, w + 300, wb(3)); // wraps to a bucket before the floor's
+        assert_eq!(s.pop_due(w + 300), Some((0, wb(2))));
+        assert_eq!(s.pop_due(w + 300), Some((0, wb(3))));
+        assert_eq!(s.pop_due(w + 300), None);
     }
 
     /// Events beyond the calendar window park in the overflow heap and
     /// still fire at their exact cycle once the window reaches them.
     #[test]
     fn far_future_events_overflow_and_return() {
-        let far = 2 * super::CAL_WINDOW as u64 + 100;
-        let (mut s, mut d) = harness(2);
-        s.push(&mut d, 1, far, wb(1)); // beyond the window: parked
-        s.push(&mut d, 0, 10, wb(2));
-        assert_eq!(s.pop_due(&mut d, 10), Some((0, wb(2))));
-        assert_eq!(s.pop_due(&mut d, far - 1), None);
+        let far = 2 * CAL_WINDOW as u64 + 100;
+        let mut s = EventQueue::new();
+        s.push(1, far, wb(1)); // beyond the window: parked
+        s.push(0, 10, wb(2));
+        assert_eq!(s.pop_due(10), Some((0, wb(2))));
+        assert_eq!(s.pop_due(far - 1), None);
         assert_eq!(s.next_due, far, "overflow head drives the frontier");
-        assert_eq!(s.pop_due(&mut d, far), Some((1, wb(1))), "returns with the shard it waited in");
-        assert_eq!(s.pop_due(&mut d, u64::MAX), None);
-        assert_eq!(s.tree.min().0, u64::MAX);
+        assert_eq!(s.pop_due(far), Some((1, wb(1))), "returns with the cluster it was tagged with");
+        assert_eq!(s.pop_due(u64::MAX), None);
+        assert_eq!(s.health().0 + s.health().1, 0);
+        assert_eq!(s.next_due, u64::MAX);
     }
 
     /// A push migrates older same-cycle overflow events first, so
     /// bucket append order stays tick order.
     #[test]
     fn overflow_migration_preserves_tick_order() {
-        let far = 2 * super::CAL_WINDOW as u64;
-        let (mut s, mut d) = harness(1);
-        s.push(&mut d, 0, far, wb(1)); // tick 1: parked in overflow
-        s.push(&mut d, 0, 5, wb(2));
-        assert_eq!(s.pop_due(&mut d, 5), Some((0, wb(2)))); // floor: 5
-        s.push(&mut d, 0, far - 5, wb(3)); // advances nothing: different bucket
-        assert_eq!(s.pop_due(&mut d, far - 5), Some((0, wb(3)))); // floor: far - 5
-        s.push(&mut d, 0, far, wb(4)); // tick 4, same cycle: wb(1) must migrate first
-        assert_eq!(s.pop_due(&mut d, far), Some((0, wb(1))));
-        assert_eq!(s.pop_due(&mut d, far), Some((0, wb(4))));
-        assert_eq!(s.pop_due(&mut d, far), None);
+        let far = 2 * CAL_WINDOW as u64;
+        let mut s = EventQueue::new();
+        s.push(0, far, wb(1)); // tick 1: parked in overflow
+        s.push(0, 5, wb(2));
+        assert_eq!(s.pop_due(5), Some((0, wb(2)))); // floor: 5
+        s.push(0, far - 5, wb(3)); // advances nothing: different bucket
+        assert_eq!(s.pop_due(far - 5), Some((0, wb(3)))); // floor: far - 5
+        s.push(0, far, wb(4)); // tick 4, same cycle: wb(1) must migrate first
+        assert_eq!(s.pop_due(far), Some((0, wb(1))));
+        assert_eq!(s.pop_due(far), Some((0, wb(4))));
+        assert_eq!(s.pop_due(far), None);
     }
 
     /// `health()` reports calendar occupancy, overflow depth, and the
     /// floor watermark — the profiler's queue-health sample.
     #[test]
-    fn health_snapshot_tracks_calendars_overflow_and_floor() {
-        let (mut s, mut d) = harness(2);
-        assert_eq!(s.health(&d), (0, 0, 0));
-        s.push(&mut d, 0, 5, wb(1));
-        s.push(&mut d, 1, 9, wb(2));
-        s.push(&mut d, 1, 2 * super::CAL_WINDOW as u64, wb(3)); // parked
-        assert_eq!(s.health(&d), (2, 1, 0));
-        assert_eq!(s.pop_due(&mut d, 5), Some((0, wb(1))));
-        assert_eq!(s.pop_due(&mut d, 5), None); // floor rises past `now`
-        let (calendar, overflow, floor) = s.health(&d);
+    fn health_snapshot_tracks_calendar_overflow_and_floor() {
+        let mut s = EventQueue::new();
+        assert_eq!(s.health(), (0, 0, 0));
+        s.push(0, 5, wb(1));
+        s.push(1, 9, wb(2));
+        s.push(1, 2 * CAL_WINDOW as u64, wb(3)); // parked
+        assert_eq!(s.health(), (2, 1, 0));
+        assert_eq!(s.pop_due(5), Some((0, wb(1))));
+        assert_eq!(s.pop_due(5), None); // floor rises past `now`
+        let (calendar, overflow, floor) = s.health();
         assert_eq!((calendar, overflow), (1, 1));
         assert!(floor > 5, "floor advances with the drain");
+    }
+
+    /// xorshift64* — deterministic, dependency-free randomness.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        /// Uniform-ish draw in `0..n`.
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The queue and a reference `(time, tick)` min-heap, pushed in
+    /// lockstep. Each event's payload is its tick, so a pop names
+    /// exactly which event came out.
+    struct Lockstep {
+        queue: EventQueue,
+        model: BinaryHeap<Reverse<(u64, u64, usize)>>,
+        tick: u64,
+    }
+
+    impl Lockstep {
+        fn push(&mut self, cluster: usize, time: u64) {
+            self.tick += 1;
+            self.queue.push(cluster, time, wb(self.tick));
+            self.model.push(Reverse((time, self.tick, cluster)));
+        }
+    }
+
+    /// Model test: on random schedules the calendar queue pops exactly
+    /// what a `(time, tick)` min-heap pops, with the pushed cluster
+    /// hint, and conserves events every cycle. Schedules push up to
+    /// three windows ahead (so the overflow heap is exercised), push
+    /// same-cycle events from inside the drain (handler chains), and
+    /// jump `now` up to two windows at once (wrapping the ring with
+    /// the floor left behind). `--features slow-tests` runs 100× the
+    /// cases.
+    #[test]
+    fn matches_a_time_tick_heap_on_random_schedules() {
+        let w = CAL_WINDOW as u64;
+        let cases = if cfg!(feature = "slow-tests") { 5_000 } else { 50 };
+        for case in 0..cases {
+            let mut rng = Rng(0x9e37_79b9_7f4a_7c15 ^ ((case + 1) * 0x1000_0000_01b3));
+            let mut q = Lockstep { queue: EventQueue::new(), model: BinaryHeap::new(), tick: 0 };
+            let mut now = 1 + rng.below(4 * w);
+            for _ in 0..1_000 {
+                for _ in 0..rng.below(4) {
+                    let cluster = rng.below(16) as usize;
+                    q.push(cluster, now + rng.below(3 * w));
+                }
+                while let Some((cluster, kind)) = q.queue.pop_due(now) {
+                    let Reverse((time, tick, hint)) =
+                        q.model.pop().expect("the queue popped an event the model lacks");
+                    assert!(time <= now, "case {case}: event for cycle {time} fired at {now}");
+                    assert_eq!((cluster, kind), (hint, wb(tick)), "case {case}, cycle {now}");
+                    if rng.below(4) == 0 {
+                        let cluster = rng.below(16) as usize;
+                        let ahead = if rng.below(2) == 0 { 0 } else { rng.below(3 * w) };
+                        q.push(cluster, now + ahead);
+                    }
+                }
+                let model_next = q.model.peek().map_or(u64::MAX, |Reverse((t, ..))| *t);
+                assert!(model_next > now, "case {case}: the drain at {now} left a due event");
+                assert_eq!(q.queue.next_due, model_next, "case {case}: inexact frontier");
+                let (pushed, popped, pending) = q.queue.conservation();
+                assert_eq!(pushed, popped + pending, "case {case}: events lost or duplicated");
+                assert_eq!(pending, q.model.len() as u64, "case {case}, cycle {now}");
+                now += if rng.below(16) == 0 { 1 + rng.below(2 * w) } else { 1 };
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The stage walks `queued_mask` — the set of clusters with dispatched
 //! instructions awaiting issue — in ascending cluster order, which is
-//! exactly the order the pre-sharding loop visited all clusters in. A
+//! exactly the order a loop over every cluster would visit them in. A
 //! skipped cluster would have selected nothing and scheduled nothing,
 //! so skipping it changes no machine state and consumes no event
 //! ticks: the computed schedule is bit-identical, the cost is

@@ -16,9 +16,9 @@
 //! lives in its own submodule operating on that state:
 //!
 //! - `domain` — the per-cluster [`ClusterDomain`]: the state one
-//!   cluster owns exclusively (calendar shard, scheduler ring,
-//!   occupancies, value-copy tables).
-//! - `events` — the global event coordinator and every event handler
+//!   cluster owns exclusively (scheduler ring, occupancies, value-copy
+//!   tables).
+//! - `events` — the machine-wide event queue and every event handler
 //!   (writeback, address resolution, LSQ arrival, store broadcast).
 //! - `commit` — in-order retirement, policy requests, and
 //!   reconfiguration.
@@ -26,16 +26,16 @@
 //! - `dispatch` — rename, steering, and structural-hazard checks.
 //! - `fetch` — branch prediction and the fetch queue.
 //!
-//! # Sharding and quiescence
+//! # Events and quiescence
 //!
-//! The event queue is sharded per physical cluster and the issue stage
-//! keeps a bitmask of clusters with queued instructions, so a cycle's
-//! cost scales with the *busy* clusters, not the configured width:
-//! quiescent clusters — including every cluster beyond the active
-//! count — are skipped in O(1). Event order is still the global
-//! `(time, tick)` order of a single queue, so the computed schedule is
-//! bit-identical to the pre-sharding simulator (see DESIGN.md and the
-//! oracle pin in `tests/shard_equivalence.rs`).
+//! Events wait in one calendar queue whose empty cycles cost a single
+//! comparison, and the issue stage keeps a bitmask of clusters with
+//! queued instructions, so a cycle's cost scales with the *busy*
+//! clusters, not the configured width: quiescent clusters — including
+//! every cluster beyond the active count — are skipped in O(1). Events
+//! fire in global `(time, tick)` order, and the computed schedule is
+//! pinned bit-identical by the oracle in `tests/shard_equivalence.rs`
+//! (see DESIGN.md, "Event model").
 
 mod commit;
 mod dispatch;
@@ -59,7 +59,7 @@ use crate::steer::{Steering, SteeringKind};
 use clustered_emu::{DecodedInst, TraceSource};
 use clustered_isa::{ArchReg, OpClass};
 use domain::ClusterDomain;
-use events::EventCoordinator;
+use events::EventQueue;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -312,10 +312,10 @@ pub struct Processor<T, O = NullObserver> {
     crit: CriticalityPredictor,
     steering: Steering,
     /// One [`ClusterDomain`] per physical cluster: the scheduler ring,
-    /// calendar shard, IQ/free-reg occupancy, and value-availability
-    /// state that cluster owns exclusively. Everything cross-cluster —
-    /// register copies, interconnect hops, LSQ/cache traffic, commit —
-    /// goes through the event coordinator or the commit stage.
+    /// IQ/free-reg occupancy, and value-availability state that cluster
+    /// owns exclusively. Everything cross-cluster — register copies,
+    /// interconnect hops, LSQ/cache traffic, commit — goes through the
+    /// event queue or the commit stage.
     domains: Vec<ClusterDomain>,
     lsq: Vec<LsqSlice>,
     rob: RobRing,
@@ -329,9 +329,8 @@ pub struct Processor<T, O = NullObserver> {
     awaiting_redirect: bool,
     dispatch_stall_until: u64,
     trace_done: bool,
-    /// Global `(time, tick)` ordering state over the domains' calendar
-    /// shards.
-    events: EventCoordinator,
+    /// The machine-wide event calendar, drained in `(time, tick)` order.
+    events: EventQueue,
     /// Bit `c` set ⇔ cluster `c` has queued (dispatched, operands
     /// ready or pending) instructions; the issue stage visits only set
     /// bits. Maintained by [`Processor::cluster_enqueue`] and the
@@ -398,21 +397,7 @@ impl<T: TraceSource> Processor<T> {
         trace: T,
         policy: Box<dyn ReconfigPolicy>,
     ) -> Result<Processor<T>, SimError> {
-        Self::with_steering(cfg, trace, policy, SteeringKind::default())
-    }
-
-    /// Builds a processor with an explicit steering heuristic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] if `cfg` fails validation.
-    pub fn with_steering(
-        cfg: SimConfig,
-        trace: T,
-        policy: Box<dyn ReconfigPolicy>,
-        steering: SteeringKind,
-    ) -> Result<Processor<T>, SimError> {
-        Processor::with_observer(cfg, trace, policy, steering, NullObserver)
+        Processor::with_observer(cfg, trace, policy, SteeringKind::default(), NullObserver)
     }
 }
 
@@ -479,7 +464,7 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
             awaiting_redirect: false,
             dispatch_stall_until: 0,
             trace_done: false,
-            events: EventCoordinator::new(count),
+            events: EventQueue::new(),
             queued_mask: 0,
             loads_waiting_data: Vec::new(),
             waiting_scratch: Vec::new(),
@@ -633,7 +618,7 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
             }
         }
         self.observer.on_stage_nanos(&nanos);
-        let (calendar_events, overflow_events, floor) = self.events.health(&self.domains);
+        let (calendar_events, overflow_events, floor) = self.events.health();
         self.observer.on_queue_health(&QueueHealth {
             cycle: self.now,
             calendar_events,
@@ -648,8 +633,7 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
     /// Assembles the end-of-cycle [`crate::AuditCheck`] snapshot and
     /// hands it to the observer. Called only when `O::WANTS_AUDIT`.
     fn deliver_audit(&mut self) {
-        let (events_pushed, events_popped, events_pending) =
-            self.events.conservation(&self.domains);
+        let (events_pushed, events_popped, events_pending) = self.events.conservation();
         // The auditor's dense `[domain][cluster]` view, assembled from
         // the per-domain owners; audit is off the hot path.
         let mut iq_used = [[0usize; MAX_CLUSTERS]; 2];

@@ -28,11 +28,14 @@ echo "==> schedule oracles under debug assertions"
 cargo test --quiet --test shard_equivalence --test compiled_replay
 cargo test --quiet -p clustered-sim --test host_profile --test observer_integration
 
-echo "==> flat-scheduler property suite (slow-tests feature)"
+echo "==> model-based property suites (slow-tests feature)"
 # Model-based equivalence of Cluster::select against the reference
-# heap/BTreeSet scheduler on randomized schedules; feature-gated so
-# it cannot rot unexercised.
+# heap/BTreeSet scheduler, and of the event calendar against a
+# (time, tick) min-heap, on randomized schedules. The feature runs
+# the long sweeps (the event model test runs 100x its tier-1 cases);
+# they live here so they cannot rot unexercised.
 cargo test --quiet -p clustered-sim --features slow-tests --test cluster_select_props
+cargo test --quiet -p clustered-sim --features slow-tests --lib pipeline::events
 
 echo "==> experiments all, twice (every experiment end to end, deterministic)"
 # Two runs of every experiment must print identical text. `all` covers

@@ -838,7 +838,7 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
     for stage in HostStage::ALL {
         println!("  {:<17} {:>5.1}%", stage.as_str(), 100.0 * p.stage_share(stage));
     }
-    println!("drained events      {} (max/mean shard skew {:.2})", p.drained_total(), p.drained_skew());
+    println!("drained events      {} (max/mean cluster skew {:.2})", p.drained_total(), p.drained_skew());
     println!("fully quiescent     {} of {} cycles", p.fully_quiescent_cycles(), p.cycles());
     println!("profile slices      {} ({} dropped)", p.slices().len(), p.dropped_slices());
     if let Some((path, events)) = trace_events {

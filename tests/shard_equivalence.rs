@@ -1,9 +1,12 @@
-//! Shard-equivalence suite: the per-cluster event-queue sharding is a
-//! pure restructuring of *how* the schedule is computed, so measured
-//! [`SimStats`] must stay bit-identical across it. This suite runs the
-//! full workload × cluster-count × policy-family × cache-model matrix
-//! and pins every counter against `tests/shard_oracle.json`, captured
-//! from the pre-refactor simulator.
+//! Schedule oracle: restructurings of *how* the simulator computes the
+//! schedule — the event queue's layout, the issue stage's quiescence
+//! skipping, the backend's data structures — must leave measured
+//! [`SimStats`] bit-identical. This suite runs the full workload ×
+//! cluster-count × policy-family × cache-model matrix and pins every
+//! counter against `tests/shard_oracle.json`. The names come from the
+//! oracle's first use: it was captured before the event queue was
+//! split into per-cluster shards, and it pinned both that split and
+//! its later removal (one machine-wide calendar) unchanged.
 //!
 //! The oracle intentionally stores the *serialized* statistics
 //! (`SimStats::to_json`), so the comparison also covers the derived
