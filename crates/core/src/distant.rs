@@ -183,10 +183,8 @@ impl IntervalDistantIlp {
         match self.mode {
             Mode::Probe => {
                 // Decide from the measured distant ILP.
-                let threshold =
-                    self.cfg.distant_threshold_per_k * self.cfg.interval_length / 1_000;
-                let choice =
-                    if self.distant > threshold { self.cfg.wide } else { self.cfg.narrow };
+                let threshold = self.cfg.distant_threshold_per_k * self.cfg.interval_length / 1_000;
+                let choice = if self.distant > threshold { self.cfg.wide } else { self.cfg.narrow };
                 self.mode = Mode::Locked;
                 self.have_reference = true;
                 self.reference_branches = self.branches;
@@ -319,7 +317,9 @@ mod tests {
         for _ in 0..n {
             seq += 1;
             let distant = (seq % 1_000) < distant_frac_per_k;
-            if let Some(r) = p.on_commit(&event(seq, seq * 2, distant, seq.is_multiple_of(branch_every))) {
+            if let Some(r) =
+                p.on_commit(&event(seq, seq * 2, distant, seq.is_multiple_of(branch_every)))
+            {
                 requests.push(r);
             }
         }

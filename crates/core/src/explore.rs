@@ -281,9 +281,7 @@ impl IntervalExplore {
         }
 
         if self.stable {
-            if let Some(slot) =
-                self.cfg.explore_configs.iter().position(|&c| c == self.current)
-            {
+            if let Some(slot) = self.cfg.explore_configs.iter().position(|&c| c == self.current) {
                 self.popularity[slot] += 1;
             }
         }
@@ -432,7 +430,8 @@ mod tests {
             seq += 1;
             cycle += cpi;
             let is_branch = seq.is_multiple_of(branch_every);
-            if let Some(r) = policy.on_commit(&event(seq, cycle, is_branch, seq.is_multiple_of(3))) {
+            if let Some(r) = policy.on_commit(&event(seq, cycle, is_branch, seq.is_multiple_of(3)))
+            {
                 requests.push(r);
             }
         }

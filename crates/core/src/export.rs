@@ -213,8 +213,7 @@ pub fn host_chrome_trace(p: &HostProfiler, label: &str) -> Json {
 /// documented in EXPERIMENTS.md.
 pub fn host_profile_json(p: &HostProfiler, label: &str, wall_seconds: f64) -> Json {
     let cycles = p.cycles();
-    let per_sec =
-        if wall_seconds > 0.0 { cycles as f64 / wall_seconds } else { 0.0 };
+    let per_sec = if wall_seconds > 0.0 { cycles as f64 / wall_seconds } else { 0.0 };
     Json::object()
         .set("workload", label)
         .set("wall_seconds", wall_seconds)
@@ -323,10 +322,8 @@ mod tests {
         let events = trace.as_arr().expect("trace is an array");
         // The decision adds exactly three counter samples; the span /
         // instant / flush population is untouched.
-        let counters: Vec<&Json> = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("C"))
-            .collect();
+        let counters: Vec<&Json> =
+            events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("C")).collect();
         assert_eq!(events.len(), 7);
         assert_eq!(counters.len(), 3);
         let names: Vec<&str> =
@@ -472,10 +469,7 @@ mod tests {
         let host_spans: Vec<&Json> =
             events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("X")).collect();
         assert_eq!(host_spans.len(), 12, "6 stage spans per slice");
-        assert_eq!(
-            host_spans[0].get("name").and_then(Json::as_str),
-            Some("host event_drain")
-        );
+        assert_eq!(host_spans[0].get("name").and_then(Json::as_str), Some("host event_drain"));
         assert_eq!(host_spans[0].get("ts").and_then(Json::as_u64), Some(0));
         assert_eq!(host_spans[0].get("dur").and_then(Json::as_u64), Some(10));
         assert_eq!(
@@ -520,9 +514,7 @@ mod tests {
         assert!((share_sum - 1.0).abs() < 1e-9, "stage shares sum to 1, got {share_sum}");
         // Degenerate wall time must not divide by zero.
         assert_eq!(
-            host_profile_json(&p, "gzip", 0.0)
-                .get("sim_cycles_per_sec")
-                .and_then(Json::as_f64),
+            host_profile_json(&p, "gzip", 0.0).get("sim_cycles_per_sec").and_then(Json::as_f64),
             Some(0.0)
         );
     }

@@ -73,8 +73,7 @@ struct TableEntry {
     advice: Option<usize>,
 }
 
-const INVALID: TableEntry =
-    TableEntry { tag: u32::MAX, samples: 0, accumulated: 0, advice: None };
+const INVALID: TableEntry = TableEntry { tag: u32::MAX, samples: 0, accumulated: 0, advice: None };
 
 /// The fine-grained reconfiguration policy (both variants).
 #[derive(Debug, Clone)]
@@ -253,8 +252,7 @@ impl ReconfigPolicy for FineGrain {
             self.distant_in_window += 1;
         }
         if self.window.len() > self.cfg.window {
-            let (pc, was_trigger, was_distant) =
-                self.window.pop_front().expect("non-empty window");
+            let (pc, was_trigger, was_distant) = self.window.pop_front().expect("non-empty window");
             if was_distant {
                 self.distant_in_window -= 1;
             }
@@ -336,7 +334,13 @@ mod tests {
                 seq += 1;
                 let distant = distant_every != 0 && seq.is_multiple_of(distant_every);
                 let is_branch = i == body - 1;
-                if let Some(r) = p.on_commit(&event(seq, if is_branch { pc } else { 1 }, is_branch, false, distant)) {
+                if let Some(r) = p.on_commit(&event(
+                    seq,
+                    if is_branch { pc } else { 1 },
+                    is_branch,
+                    false,
+                    distant,
+                )) {
                     requests.push(r);
                 }
             }

@@ -145,8 +145,9 @@ mod tests {
 
     #[test]
     fn alternating_stream_is_fully_unstable() {
-        let records: Vec<_> =
-            (0..64).map(|i| if i % 2 == 0 { record(500, 100, 300) } else { record(500, 200, 300) }).collect();
+        let records: Vec<_> = (0..64)
+            .map(|i| if i % 2 == 0 { record(500, 100, 300) } else { record(500, 200, 300) })
+            .collect();
         let f = instability_factor(&records, 1, &StabilityThresholds::default()).unwrap();
         assert!(f > 90.0, "every interval differs from its predecessor: {f}");
     }
@@ -155,8 +156,9 @@ mod tests {
     fn grouping_smooths_alternation() {
         // Alternating at the base granularity, but every group of two
         // looks identical → stable at the doubled interval.
-        let records: Vec<_> =
-            (0..64).map(|i| if i % 2 == 0 { record(400, 100, 300) } else { record(600, 200, 300) }).collect();
+        let records: Vec<_> = (0..64)
+            .map(|i| if i % 2 == 0 { record(400, 100, 300) } else { record(600, 200, 300) })
+            .collect();
         let fine = instability_factor(&records, 1, &StabilityThresholds::default()).unwrap();
         let coarse = instability_factor(&records, 2, &StabilityThresholds::default()).unwrap();
         assert!(fine > 50.0);
@@ -165,8 +167,9 @@ mod tests {
 
     #[test]
     fn minimum_stable_interval_picks_first_acceptable() {
-        let records: Vec<_> =
-            (0..64).map(|i| if i % 2 == 0 { record(400, 100, 300) } else { record(600, 200, 300) }).collect();
+        let records: Vec<_> = (0..64)
+            .map(|i| if i % 2 == 0 { record(400, 100, 300) } else { record(600, 200, 300) })
+            .collect();
         let (len, factor) =
             minimum_stable_interval(&records, &StabilityThresholds::default(), 5.0).unwrap();
         assert_eq!(len, 2_000);

@@ -130,8 +130,7 @@ mod tests {
 
     #[test]
     fn iterator_blanket_impl_decodes_on_the_fly() {
-        let outcome =
-            BranchOutcome { kind: BranchKind::Jump, taken: true, next_pc: 0 };
+        let outcome = BranchOutcome { kind: BranchKind::Jump, taken: true, next_pc: 0 };
         let stream = vec![
             dyn_inst(0, 0, Inst::Li { rd: IntReg::new(1).unwrap(), imm: 1 }, None),
             dyn_inst(1, 1, Inst::Jump { target: 0 }, Some(outcome)),
@@ -156,7 +155,8 @@ mod tests {
                 Some(BranchOutcome { kind: BranchKind::Jump, taken: true, next_pc: 0 }),
             )
         };
-        let alu = |seq, pc| dyn_inst(seq, pc, Inst::Li { rd: IntReg::new(1).unwrap(), imm: 0 }, None);
+        let alu =
+            |seq, pc| dyn_inst(seq, pc, Inst::Li { rd: IntReg::new(1).unwrap(), imm: 0 }, None);
         let mut src = vec![alu(0, 0), alu(1, 1), jump(2, 2), alu(3, 0), alu(4, 1)].into_iter();
         let mut out = Vec::new();
         assert_eq!(src.next_run(8, &mut out), 3, "run ends at the branch");

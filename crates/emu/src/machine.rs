@@ -3,8 +3,7 @@
 use crate::memory::Memory;
 use crate::trace::{BranchKind, BranchOutcome, DynInst, MemAccess};
 use clustered_isa::{
-    AluOp, FpCmpOp, FpOp, FpUnOp, Inst, MemWidth, MulDivOp, Operand, Program,
-    DATA_BASE, STACK_BASE,
+    AluOp, FpCmpOp, FpOp, FpUnOp, Inst, MemWidth, MulDivOp, Operand, Program, DATA_BASE, STACK_BASE,
 };
 use std::error::Error;
 use std::fmt;
@@ -285,8 +284,7 @@ impl Machine {
                     MemWidth::Double => self.mem.read_u64(addr),
                 };
                 self.write_int(rd.index(), v);
-                mem_access =
-                    Some(MemAccess { addr, size: width.bytes() as u8, is_store: false });
+                mem_access = Some(MemAccess { addr, size: width.bytes() as u8, is_store: false });
             }
             Inst::Store { width, rs, base, offset } => {
                 let addr = self.regs[base.index() as usize].wrapping_add(offset as u64);
@@ -315,8 +313,7 @@ impl Machine {
                 if taken {
                     next_pc = target;
                 }
-                branch =
-                    Some(BranchOutcome { kind: BranchKind::Conditional, taken, next_pc });
+                branch = Some(BranchOutcome { kind: BranchKind::Conditional, taken, next_pc });
             }
             Inst::Jump { target } => {
                 next_pc = target;
@@ -324,8 +321,7 @@ impl Machine {
             }
             Inst::JumpReg { rs } => {
                 next_pc = self.indirect_target(pc, self.regs[rs.index() as usize])?;
-                branch =
-                    Some(BranchOutcome { kind: BranchKind::Indirect, taken: true, next_pc });
+                branch = Some(BranchOutcome { kind: BranchKind::Indirect, taken: true, next_pc });
             }
             Inst::Call { target } => {
                 self.write_int(31, (pc + 1) as u64);
@@ -463,10 +459,8 @@ mod tests {
 
     #[test]
     fn arithmetic_and_logic() {
-        let m = run(
-            "li r1, 10\n li r2, 3\n add r3, r1, r2\n sub r4, r1, r2\n and r5, r1, r2\n \
-             or r6, r1, r2\n xor r7, r1, r2\n sll r8, r1, 2\n srl r9, r1, 1\n halt",
-        );
+        let m = run("li r1, 10\n li r2, 3\n add r3, r1, r2\n sub r4, r1, r2\n and r5, r1, r2\n \
+             or r6, r1, r2\n xor r7, r1, r2\n sll r8, r1, 2\n srl r9, r1, 1\n halt");
         assert_eq!(m.int_reg(3), 13);
         assert_eq!(m.int_reg(4), 7);
         assert_eq!(m.int_reg(5), 2);
@@ -478,10 +472,8 @@ mod tests {
 
     #[test]
     fn signed_operations() {
-        let m = run(
-            "li r1, -8\n srai r2, r1, 1\n slti r3, r1, 0\n sltiu r4, r1, 0\n \
-             li r5, 3\n div r6, r1, r5\n rem r7, r1, r5\n halt",
-        );
+        let m = run("li r1, -8\n srai r2, r1, 1\n slti r3, r1, 0\n sltiu r4, r1, 0\n \
+             li r5, 3\n div r6, r1, r5\n rem r7, r1, r5\n halt");
         assert_eq!(m.int_reg(2) as i64, -4);
         assert_eq!(m.int_reg(3), 1);
         assert_eq!(m.int_reg(4), 0); // -8 as unsigned is huge
@@ -505,11 +497,9 @@ mod tests {
 
     #[test]
     fn floating_point() {
-        let m = run(
-            "fli f1, 9.0\n fli f2, 2.0\n fadd f3, f1, f2\n fmul f4, f1, f2\n \
+        let m = run("fli f1, 9.0\n fli f2, 2.0\n fadd f3, f1, f2\n fmul f4, f1, f2\n \
              fdiv f5, f1, f2\n fsqrt f6, f1\n fneg f7, f1\n flt r1, f2, f1\n \
-             fcvti r2, f5\n li r3, 7\n fcvt f8, r3\n halt",
-        );
+             fcvti r2, f5\n li r3, 7\n fcvt f8, r3\n halt");
         assert_eq!(m.fp_reg(3), 11.0);
         assert_eq!(m.fp_reg(4), 18.0);
         assert_eq!(m.fp_reg(5), 4.5);
@@ -522,12 +512,10 @@ mod tests {
 
     #[test]
     fn loads_and_stores() {
-        let m = run(
-            ".data\nbuf: .space 32\n.text\n\
+        let m = run(".data\nbuf: .space 32\n.text\n\
              la r1, buf\n li r2, -1\n sd r2, 0(r1)\n lw r3, 0(r1)\n lbu r4, 0(r1)\n \
              li r5, 0x11223344\n sw r5, 8(r1)\n ld r6, 8(r1)\n \
-             fli f1, 1.25\n fsd f1, 16(r1)\n fld f2, 16(r1)\n halt",
-        );
+             fli f1, 1.25\n fsd f1, 16(r1)\n fld f2, 16(r1)\n halt");
         assert_eq!(m.int_reg(3) as i64, -1); // lw sign-extends
         assert_eq!(m.int_reg(4), 0xff); // lbu zero-extends
         assert_eq!(m.int_reg(6), 0x11223344); // sw stores low 32 bits
@@ -552,28 +540,27 @@ mod tests {
 
     #[test]
     fn call_and_return() {
-        let m = run(
-            "start: li r1, 5\n call double\n call double\n halt\n\
-             double: add r1, r1, r1\n ret",
-        );
+        let m = run("start: li r1, 5\n call double\n call double\n halt\n\
+             double: add r1, r1, r1\n ret");
         assert_eq!(m.int_reg(1), 20);
     }
 
     #[test]
     fn indirect_jump_table() {
-        let m = run(
-            ".data\ntab: .word case0, case1\n.text\n\
+        let m = run(".data\ntab: .word case0, case1\n.text\n\
              start: li r1, 1\n la r2, tab\n slli r3, r1, 3\n add r2, r2, r3\n ld r4, 0(r2)\n \
              jr r4\n\
              case0: li r5, 100\n halt\n\
-             case1: li r5, 200\n halt",
-        );
+             case1: li r5, 200\n halt");
         assert_eq!(m.int_reg(5), 200);
     }
 
     #[test]
     fn trace_records_memory_and_branches() {
-        let p = assemble(".data\nb: .space 8\n.text\nla r1, b\n sd r1, 0(r1)\n beqz r0, t\n nop\nt: halt").unwrap();
+        let p = assemble(
+            ".data\nb: .space 8\n.text\nla r1, b\n sd r1, 0(r1)\n beqz r0, t\n nop\nt: halt",
+        )
+        .unwrap();
         let recs: Vec<_> = trace(p).collect::<Result<_, _>>().unwrap();
         assert_eq!(recs.len(), 3); // la, sd, beqz (halt not yielded, nop skipped)
         let store = recs[1];

@@ -48,10 +48,8 @@ impl Memory {
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        let page = self
-            .pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
+        let page =
+            self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
         page[(addr & OFFSET_MASK) as usize] = value;
     }
 
@@ -76,10 +74,8 @@ impl Memory {
     pub fn write_bytes<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) {
         let offset = (addr & OFFSET_MASK) as usize;
         if offset + N <= PAGE_SIZE {
-            let page = self
-                .pages
-                .entry(addr >> PAGE_SHIFT)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
+            let page =
+                self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
             page[offset..offset + N].copy_from_slice(&bytes);
             return;
         }

@@ -87,20 +87,10 @@ mod tests {
 
     #[test]
     fn next_pc_fall_through_and_taken() {
-        let base = DynInst {
-            seq: 0,
-            pc: 10,
-            inst: Inst::Halt,
-            mem: None,
-            branch: None,
-        };
+        let base = DynInst { seq: 0, pc: 10, inst: Inst::Halt, mem: None, branch: None };
         assert_eq!(base.next_pc(), 11);
         let taken = DynInst {
-            branch: Some(BranchOutcome {
-                kind: BranchKind::Conditional,
-                taken: true,
-                next_pc: 3,
-            }),
+            branch: Some(BranchOutcome { kind: BranchKind::Conditional, taken: true, next_pc: 3 }),
             ..base
         };
         assert_eq!(taken.next_pc(), 3);

@@ -5,9 +5,7 @@
 //! `label:` definitions, `.text`/`.data` sections, and the data
 //! directives `.word`, `.byte`, `.double`, `.space`, and `.align`.
 
-use crate::inst::{
-    AluOp, BranchCond, FpCmpOp, FpOp, FpUnOp, Inst, MemWidth, MulDivOp, Operand,
-};
+use crate::inst::{AluOp, BranchCond, FpCmpOp, FpOp, FpUnOp, Inst, MemWidth, MulDivOp, Operand};
 use crate::program::{Program, Symbol, DATA_BASE};
 use crate::reg::{FpReg, IntReg};
 use std::collections::HashMap;
@@ -275,8 +273,7 @@ impl Assembler {
             }
         };
         let int_reg = |s: &str| parse_int_reg(s).ok_or_else(|| err(format!("bad register `{s}`")));
-        let fp_reg =
-            |s: &str| parse_fp_reg(s).ok_or_else(|| err(format!("bad fp register `{s}`")));
+        let fp_reg = |s: &str| parse_fp_reg(s).ok_or_else(|| err(format!("bad fp register `{s}`")));
         let imm = |s: &str| parse_int(s).map_err(|e| err(format!("bad immediate `{s}`: {e}")));
         let text_target = |s: &str| -> Result<u32, AsmError> {
             match self.symbols.get(s) {
@@ -456,9 +453,8 @@ impl Assembler {
             }
             "fli" => {
                 arity(2)?;
-                let v: f64 = ops[1]
-                    .parse()
-                    .map_err(|_| err(format!("bad fp immediate `{}`", ops[1])))?;
+                let v: f64 =
+                    ops[1].parse().map_err(|_| err(format!("bad fp immediate `{}`", ops[1])))?;
                 Ok(Inst::Fli { fd: fp_reg(&ops[0])?, imm: v })
             }
             "ld" => load(MemWidth::Double),
@@ -646,10 +642,8 @@ mod tests {
 
     #[test]
     fn word_directive_accepts_labels() {
-        let p = assemble(
-            ".data\ntable: .word fn_a, fn_b\n.text\nfn_a: ret\nfn_b: ret\nhalt",
-        )
-        .unwrap();
+        let p =
+            assemble(".data\ntable: .word fn_a, fn_b\n.text\nfn_a: ret\nfn_b: ret\nhalt").unwrap();
         assert_eq!(&p.data()[0..8], &0u64.to_le_bytes());
         assert_eq!(&p.data()[8..16], &1u64.to_le_bytes());
     }

@@ -126,8 +126,7 @@ mod tests {
             halt
         ";
         let p = assemble(source).unwrap();
-        let rendered: String =
-            p.text().iter().map(disassemble).collect::<Vec<_>>().join("\n");
+        let rendered: String = p.text().iter().map(disassemble).collect::<Vec<_>>().join("\n");
         let p2 = assemble(&rendered).unwrap();
         assert_eq!(p.text(), p2.text());
     }

@@ -570,10 +570,7 @@ mod tests {
             Inst::Fp { op: FpOp::Mul, fd: f(1), fs1: f(2), fs2: f(3) }.op_class(),
             OpClass::FpMul
         );
-        assert_eq!(
-            Inst::FpUn { op: FpUnOp::Sqrt, fd: f(1), fs: f(2) }.op_class(),
-            OpClass::FpDiv
-        );
+        assert_eq!(Inst::FpUn { op: FpUnOp::Sqrt, fd: f(1), fs: f(2) }.op_class(), OpClass::FpDiv);
         assert_eq!(
             Inst::Load { width: MemWidth::Double, rd: r(1), base: r(2), offset: 0 }.op_class(),
             OpClass::Load

@@ -277,10 +277,7 @@ impl AuditObserver {
             self.violate(
                 cycle,
                 AuditInvariant::FetchConservation,
-                format!(
-                    "fetched {fetched} != dispatched {} + fetch queue {queued}",
-                    s.dispatched
-                ),
+                format!("fetched {fetched} != dispatched {} + fetch queue {queued}", s.dispatched),
             );
         }
         let stalls = s.dispatch_stall_fetch + s.dispatch_stall_rob + s.dispatch_stall_resources;

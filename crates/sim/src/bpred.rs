@@ -64,9 +64,7 @@ impl Btb {
             }
         }
         // Miss: replace the LRU way.
-        let victim = (set..set + self.ways)
-            .min_by_key(|&i| self.entries[i].2)
-            .expect("ways >= 1");
+        let victim = (set..set + self.ways).min_by_key(|&i| self.entries[i].2).expect("ways >= 1");
         self.entries[victim] = (pc, target, self.stamp);
     }
 }
@@ -138,10 +136,7 @@ impl BranchPredictor {
             BranchKind::Indirect => {
                 let predicted = self.btb.lookup(pc);
                 self.btb.insert(pc, outcome.next_pc);
-                Prediction {
-                    correct: predicted == Some(outcome.next_pc),
-                    predicted_taken: true,
-                }
+                Prediction { correct: predicted == Some(outcome.next_pc), predicted_taken: true }
             }
             BranchKind::Call => {
                 // Direct call: the target is decode-available, so the
@@ -156,17 +151,11 @@ impl BranchPredictor {
                 self.push_return(pc + 1);
                 let predicted = self.btb.lookup(pc);
                 self.btb.insert(pc, outcome.next_pc);
-                Prediction {
-                    correct: predicted == Some(outcome.next_pc),
-                    predicted_taken: true,
-                }
+                Prediction { correct: predicted == Some(outcome.next_pc), predicted_taken: true }
             }
             BranchKind::Return => {
                 let predicted = self.ras.pop();
-                Prediction {
-                    correct: predicted == Some(outcome.next_pc),
-                    predicted_taken: true,
-                }
+                Prediction { correct: predicted == Some(outcome.next_pc), predicted_taken: true }
             }
         }
     }

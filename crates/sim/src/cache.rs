@@ -386,10 +386,7 @@ mod tests {
         let params = CacheParams { model, ..CacheParams::default() };
         (
             MemHierarchy::new(&params, 16),
-            Interconnect::new(
-                &InterconnectParams { topology: Topology::Ring, hop_latency: 1 },
-                16,
-            ),
+            Interconnect::new(&InterconnectParams { topology: Topology::Ring, hop_latency: 1 }, 16),
             SimStats::default(),
         )
     }

@@ -55,9 +55,11 @@ impl Domain {
     /// The domain an instruction class dispatches into.
     pub fn of(class: OpClass) -> Domain {
         match class {
-            OpClass::IntAlu | OpClass::IntMul | OpClass::IntDiv | OpClass::Load | OpClass::Store => {
-                Domain::Int
-            }
+            OpClass::IntAlu
+            | OpClass::IntMul
+            | OpClass::IntDiv
+            | OpClass::Load
+            | OpClass::Store => Domain::Int,
             OpClass::FpAlu | OpClass::FpMul | OpClass::FpDiv => Domain::Fp,
         }
     }

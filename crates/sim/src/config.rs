@@ -416,16 +416,8 @@ impl SimConfig {
     /// feed the hash in declaration order as fixed-width
     /// little-endian words, so the digest is platform-independent.
     pub fn digest(&self) -> u64 {
-        let SimConfig {
-            clusters,
-            frontend,
-            bpred,
-            bankpred,
-            crit,
-            interconnect,
-            cache,
-            exec,
-        } = self;
+        let SimConfig { clusters, frontend, bpred, bankpred, crit, interconnect, cache, exec } =
+            self;
         let ClusterParams {
             count,
             int_regs,
@@ -480,8 +472,14 @@ impl SimConfig {
             mem_latency,
             lsq_per_cluster,
         } = cache;
-        let ExecLatencies { int_alu: l_int_alu, int_mul, int_div, fp_alu: l_fp_alu, fp_mul, fp_div } =
-            exec;
+        let ExecLatencies {
+            int_alu: l_int_alu,
+            int_mul,
+            int_div,
+            fp_alu: l_fp_alu,
+            fp_mul,
+            fp_div,
+        } = exec;
         let words: &[u64] = &[
             // A format tag so digest-scheme changes can never collide
             // with digests of an older field order.
@@ -556,10 +554,7 @@ impl SimConfig {
     /// request under this configuration: the powers of two up to the
     /// cluster count (the subset the paper found sufficient, §4.1).
     pub fn allowed_cluster_counts(&self) -> Vec<usize> {
-        (0..)
-            .map(|i| 1usize << i)
-            .take_while(|&n| n <= self.clusters.count)
-            .collect()
+        (0..).map(|i| 1usize << i).take_while(|&n| n <= self.clusters.count).collect()
     }
 }
 
@@ -748,10 +743,7 @@ mod tests {
         for (name, cfg) in &mutations {
             let d = cfg.digest();
             for (other, prior) in &seen {
-                assert_ne!(
-                    d, *prior,
-                    "digest of mutation `{name}` collides with `{other}`"
-                );
+                assert_ne!(d, *prior, "digest of mutation `{name}` collides with `{other}`");
             }
             seen.push((name, d));
         }

@@ -274,8 +274,7 @@ impl HostProfiler {
     /// max/mean of per-cluster drained events (1.0 = perfectly even,
     /// 0.0 when nothing drained).
     pub fn drained_skew(&self) -> f64 {
-        let active: Vec<u64> =
-            self.drained_events.iter().copied().filter(|&n| n > 0).collect();
+        let active: Vec<u64> = self.drained_events.iter().copied().filter(|&n| n > 0).collect();
         if active.is_empty() {
             return 0.0;
         }
@@ -296,10 +295,8 @@ impl HostProfiler {
                     .set("share", self.stage_share(*stage)),
             );
         }
-        let drained: Vec<Json> =
-            self.drained_events.iter().map(|&n| Json::from(n)).collect();
-        let busy: Vec<Json> =
-            self.cluster_busy_cycles.iter().map(|&n| Json::from(n)).collect();
+        let drained: Vec<Json> = self.drained_events.iter().map(|&n| Json::from(n)).collect();
+        let busy: Vec<Json> = self.cluster_busy_cycles.iter().map(|&n| Json::from(n)).collect();
         let slices: Vec<Json> = self.slices.iter().map(slice_json).collect();
         Json::object()
             .set("cycles", self.cycles)
@@ -353,10 +350,7 @@ impl HostProfiler {
 }
 
 fn stage_index(stage: HostStage) -> usize {
-    HostStage::ALL
-        .iter()
-        .position(|s| *s == stage)
-        .expect("every stage is in ALL")
+    HostStage::ALL.iter().position(|s| *s == stage).expect("every stage is in ALL")
 }
 
 fn slice_json(s: &HostSlice) -> Json {

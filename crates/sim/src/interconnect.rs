@@ -291,10 +291,8 @@ mod tests {
 
     #[test]
     fn hop_latency_scales() {
-        let mut net = Interconnect::new(
-            &InterconnectParams { topology: Topology::Ring, hop_latency: 2 },
-            16,
-        );
+        let mut net =
+            Interconnect::new(&InterconnectParams { topology: Topology::Ring, hop_latency: 2 }, 16);
         assert_eq!(net.transfer(0, 3, 0), 6);
         assert_eq!(net.latency(0, 8), 16);
     }

@@ -67,21 +67,18 @@ mod slots;
 mod stats;
 mod steer;
 
-pub use audit::{
-    AuditCheck, AuditInvariant, AuditObserver, AuditViolation, DEFAULT_VIOLATION_CAP,
-};
+pub use audit::{AuditCheck, AuditInvariant, AuditObserver, AuditViolation, DEFAULT_VIOLATION_CAP};
 pub use bankpred::{BankPredictor, BANK_BITS, MAX_PREDICTED_BANKS};
 pub use bpred::{BranchPredictor, Prediction};
 pub use cache::{ArrayAccess, CacheArray, MemHierarchy};
 pub use cluster::{latency_of, Cluster, Domain, FuGroup, FU_GROUPS};
+pub use config::{
+    BankPredParams, BpredParams, CacheModel, CacheParams, ClusterParams, ConfigError, CritParams,
+    ExecLatencies, FrontendParams, InterconnectParams, SimConfig, Topology, MAX_CLUSTERS,
+};
 pub use crit::CriticalityPredictor;
 pub use decision::{DecisionReason, DecisionRecord, PolicyState};
 pub use energy::{estimate_energy, EnergyBreakdown, EnergyParams};
-pub use config::{
-    BankPredParams, BpredParams, CacheModel, CacheParams, ClusterParams, ConfigError,
-    CritParams, ExecLatencies, FrontendParams, InterconnectParams, SimConfig, Topology,
-    MAX_CLUSTERS,
-};
 pub use host::{
     HostProfiler, HostSlice, HostStage, QueueHealth, DEFAULT_SAMPLE_INTERVAL, DEFAULT_SLICE_CAP,
     HOST_STAGE_COUNT,

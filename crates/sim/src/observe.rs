@@ -369,9 +369,7 @@ impl MetricsObserver {
         let reconfigs: Vec<Json> = self
             .reconfigs
             .iter()
-            .map(|r| {
-                Json::object().set("cycle", r.cycle).set("from", r.from).set("to", r.to)
-            })
+            .map(|r| Json::object().set("cycle", r.cycle).set("from", r.from).set("to", r.to))
             .collect();
         let flushes: Vec<Json> = self
             .flushes
@@ -441,7 +439,14 @@ impl SimObserver for MetricsObserver {
         self.committed += 1;
     }
 
-    fn on_transfer(&mut self, _cycle: u64, kind: TransferKind, _from: usize, _to: usize, hops: u64) {
+    fn on_transfer(
+        &mut self,
+        _cycle: u64,
+        kind: TransferKind,
+        _from: usize,
+        _to: usize,
+        hops: u64,
+    ) {
         match kind {
             TransferKind::Register => self.reg_transfer_hops.record(hops),
             TransferKind::Cache => self.cache_transfer_hops.record(hops),

@@ -91,11 +91,8 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
                 // Unwitnessed slots are stale values from the ROB
                 // slot's previous occupant; materialize them as absent.
                 for (c, dom) in self.domains.iter_mut().enumerate() {
-                    dom.arch_avail[r] = if copies_mask >> c & 1 == 1 {
-                        dom.value_copies[slot]
-                    } else {
-                        ABSENT
-                    };
+                    dom.arch_avail[r] =
+                        if copies_mask >> c & 1 == 1 { dom.value_copies[slot] } else { ABSENT };
                 }
             }
         }

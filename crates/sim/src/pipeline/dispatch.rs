@@ -112,13 +112,15 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
         // slot either way.
         match (self.cfg.cache.model, class) {
             (CacheModel::Centralized, OpClass::Load | OpClass::Store)
-                if !self.lsq[0].has_space() => {
-                    return false;
-                }
+                if !self.lsq[0].has_space() =>
+            {
+                return false;
+            }
             (CacheModel::Decentralized, OpClass::Store)
-                if !(0..self.active).all(|k| self.lsq[k].has_space()) => {
-                    return false;
-                }
+                if !(0..self.active).all(|k| self.lsq[k].has_space()) =>
+            {
+                return false;
+            }
             _ => {}
         }
 

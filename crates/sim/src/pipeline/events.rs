@@ -38,13 +38,7 @@ pub(super) enum EventKind {
     /// A store's address (and data) became visible at LSQ slice
     /// `slice`. Carries everything needed because the store may have
     /// committed before the broadcast lands.
-    StoreResolved {
-        seq: u64,
-        slice: usize,
-        word: u64,
-        own: bool,
-        forward_here: bool,
-    },
+    StoreResolved { seq: u64, slice: usize, word: u64, own: bool, forward_here: bool },
 }
 
 /// Calendar window, in cycles; a power of two. Nothing in the machine
@@ -361,9 +355,8 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
         // A mispredicted control transfer restarts fetch once the
         // redirect reaches the front end (co-located with cluster 0).
         if self.rob[idx].mispredicted && self.rob[idx].d.branch.is_some() {
-            let resume = self.now
-                + self.net.latency(cluster, 0)
-                + self.cfg.frontend.mispredict_penalty;
+            let resume =
+                self.now + self.net.latency(cluster, 0) + self.cfg.frontend.mispredict_penalty;
             self.fetch_stall_until = self.fetch_stall_until.max(resume);
             self.awaiting_redirect = false;
         }

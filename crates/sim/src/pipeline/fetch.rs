@@ -41,7 +41,11 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
             let tail = run.pop().expect("next_run returned a non-zero count");
             for d in run.drain(..) {
                 debug_assert!(d.branch.is_none(), "control transfer inside a run body");
-                self.fetch_queue.push_back(Fetched { d, fetched_at: self.now, mispredicted: false });
+                self.fetch_queue.push_back(Fetched {
+                    d,
+                    fetched_at: self.now,
+                    mispredicted: false,
+                });
             }
             let Some(outcome) = tail.branch else {
                 // Run ended at the budget or the trace tail, not a branch.

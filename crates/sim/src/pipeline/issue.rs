@@ -72,10 +72,12 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
                 self.crit.update(self.rob[idx].d.pc, usize::from(a1 >= a0));
             }
             match class {
-                OpClass::Load => self
-                    .schedule(c, self.now + self.cfg.exec.int_alu, EventKind::LoadAddr { seq }),
-                OpClass::Store => self
-                    .schedule(c, self.now + self.cfg.exec.int_alu, EventKind::StoreAddr { seq }),
+                OpClass::Load => {
+                    self.schedule(c, self.now + self.cfg.exec.int_alu, EventKind::LoadAddr { seq })
+                }
+                OpClass::Store => {
+                    self.schedule(c, self.now + self.cfg.exec.int_alu, EventKind::StoreAddr { seq })
+                }
                 _ => self.schedule(c, self.now + lat, EventKind::WriteBack { seq }),
             }
         }

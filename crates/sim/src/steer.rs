@@ -82,9 +82,8 @@ impl Steering {
     /// cluster can currently accept it (dispatch must stall).
     pub fn choose(&mut self, req: &SteerRequest<'_>) -> Option<usize> {
         debug_assert!(req.active >= 1 && req.active <= req.occupancy.len());
-        let fits = |c: usize| {
-            req.occupancy[c] < req.capacity && (!req.needs_reg || req.has_free_reg[c])
-        };
+        let fits =
+            |c: usize| req.occupancy[c] < req.capacity && (!req.needs_reg || req.has_free_reg[c]);
         let least_loaded = (0..req.active).filter(|&c| fits(c)).min_by_key(|&c| req.occupancy[c]);
         match self.kind {
             SteeringKind::Producer { imbalance_threshold } => {
@@ -114,7 +113,8 @@ impl Steering {
                 if self.run >= n || !fits(self.cursor) {
                     // Move to the first acceptable neighbour.
                     let start = (self.cursor + 1) % req.active;
-                    let next = (0..req.active).map(|i| (start + i) % req.active).find(|&c| fits(c))?;
+                    let next =
+                        (0..req.active).map(|i| (start + i) % req.active).find(|&c| fits(c))?;
                     self.cursor = next;
                     self.run = 0;
                 }
@@ -129,8 +129,7 @@ impl Steering {
                     return Some(self.cursor);
                 }
                 let start = self.cursor;
-                let next =
-                    (1..=req.active).map(|i| (start + i) % req.active).find(|&c| fits(c))?;
+                let next = (1..=req.active).map(|i| (start + i) % req.active).find(|&c| fits(c))?;
                 self.cursor = next;
                 Some(next)
             }
@@ -216,11 +215,8 @@ mod tests {
         let r = SteerRequest { critical_producer: Some(0), ..req(4, &occ, &regs) };
         assert_eq!(s.choose(&r), Some(1));
         // Without a destination the register constraint is ignored.
-        let r = SteerRequest {
-            critical_producer: Some(0),
-            needs_reg: false,
-            ..req(4, &occ, &regs)
-        };
+        let r =
+            SteerRequest { critical_producer: Some(0), needs_reg: false, ..req(4, &occ, &regs) };
         assert_eq!(s.choose(&r), Some(0));
     }
 

@@ -50,12 +50,7 @@ impl ModelCluster {
         ModelCluster {
             pending: BinaryHeap::new(),
             ready: Default::default(),
-            fu_busy: [
-                vec![0; units[0]],
-                vec![0; units[1]],
-                vec![0; units[2]],
-                vec![0; units[3]],
-            ],
+            fu_busy: [vec![0; units[0]], vec![0; units[1]], vec![0; units[2]], vec![0; units[3]]],
         }
     }
 

@@ -41,11 +41,7 @@ fn constant_address_stream_predicts_perfectly() {
         Box::new(FixedPolicy::new(16)),
     );
     assert!(s.bank_predictions >= 3000);
-    assert!(
-        s.bank_accuracy() > 0.99,
-        "constant bank must be learned: {:.3}",
-        s.bank_accuracy()
-    );
+    assert!(s.bank_accuracy() > 0.99, "constant bank must be learned: {:.3}", s.bank_accuracy());
 }
 
 /// A pseudo-random address stream defeats the bank predictor — the
@@ -73,11 +69,7 @@ fn random_address_stream_defeats_bank_prediction() {
         decentralized(),
         Box::new(FixedPolicy::new(16)),
     );
-    assert!(
-        s.bank_accuracy() < 0.5,
-        "random banks cannot be predicted: {:.3}",
-        s.bank_accuracy()
-    );
+    assert!(s.bank_accuracy() < 0.5, "random banks cannot be predicted: {:.3}", s.bank_accuracy());
     assert!(s.ipc() > 0.05, "mispredicted banks must still complete");
 }
 
@@ -157,16 +149,10 @@ fn reconfiguration_flush_invalidates_the_l1() {
          addi r9, r9, -1
          bnez r9, reread
          halt";
-    let with_switch = run(
-        source,
-        decentralized(),
-        Box::new(SwitchAt { seq: 5_000, to: 4, fired: false }),
-    );
+    let with_switch =
+        run(source, decentralized(), Box::new(SwitchAt { seq: 5_000, to: 4, fired: false }));
     assert_eq!(with_switch.reconfigurations, 1);
-    assert!(
-        with_switch.flush_writebacks > 0,
-        "dirtied lines must be written back at the flush"
-    );
+    assert!(with_switch.flush_writebacks > 0, "dirtied lines must be written back at the flush");
     let without = run(source, decentralized(), Box::new(FixedPolicy::new(16)));
     assert_eq!(without.flush_writebacks, 0);
     assert!(

@@ -170,17 +170,12 @@ fn load_latency_orders_by_residency() {
             "la r3, ring\nli r6, {last}\nadd r6, r6, r3\nsd r3, 0(r6)\n",
             last = (nodes - 1) * stride
         ));
-        source.push_str(
-            "la r1, ring\nchase:\nld r1, 0(r1)\naddi r9, r9, -1\nbnez r9, chase\nhalt",
-        );
+        source.push_str("la r1, ring\nchase:\nld r1, 0(r1)\naddi r9, r9, -1\nbnez r9, chase\nhalt");
         run(&source, SimConfig::monolithic(), 1).cycles
     };
     let near = chase(64, 16 * 1024); // fits the 32KB L1
     let far = chase(64, 256 * 1024); // larger than L1, inside L2
-    assert!(
-        far > near * 2,
-        "L2-resident chase must be much slower: near {near}, far {far}"
-    );
+    assert!(far > near * 2, "L2-resident chase must be much slower: near {near}, far {far}");
 }
 
 /// Hop latency directly scales the communication penalty of a wide

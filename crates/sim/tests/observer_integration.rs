@@ -75,14 +75,8 @@ fn observer_sees_decentralized_reconfigurations_and_flushes() {
     assert!(stats.reconfigurations > 0, "policy must have fired");
     assert_eq!(m.reconfigs.len() as u64, stats.reconfigurations);
     assert_eq!(m.flushes.len() as u64, stats.reconfigurations);
-    assert_eq!(
-        m.flushes.iter().map(|f| f.stall_cycles).sum::<u64>(),
-        stats.flush_stall_cycles
-    );
-    assert_eq!(
-        m.flushes.iter().map(|f| f.writebacks).sum::<u64>(),
-        stats.flush_writebacks
-    );
+    assert_eq!(m.flushes.iter().map(|f| f.stall_cycles).sum::<u64>(), stats.flush_stall_cycles);
+    assert_eq!(m.flushes.iter().map(|f| f.writebacks).sum::<u64>(), stats.flush_writebacks);
     for r in &m.reconfigs {
         assert_ne!(r.from, r.to);
         assert!(r.cycle <= stats.cycles);

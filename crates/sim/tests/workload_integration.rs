@@ -3,9 +3,7 @@
 //! These check the *qualitative* properties the paper's evaluation
 //! depends on — not absolute IPC values.
 
-use clustered_sim::{
-    CacheModel, FixedPolicy, Processor, SimConfig, SimStats, Topology,
-};
+use clustered_sim::{CacheModel, FixedPolicy, Processor, SimConfig, SimStats, Topology};
 use clustered_workloads::by_name;
 
 fn run(name: &str, cfg: SimConfig, clusters: usize, instructions: u64) -> SimStats {
@@ -25,11 +23,7 @@ fn all_workloads_simulate_on_default_config() {
     for w in clustered_workloads::all() {
         let s = run(w.name(), SimConfig::default(), 16, 30_000);
         let ipc = s.ipc();
-        assert!(
-            (0.05..16.0).contains(&ipc),
-            "{}: implausible IPC {ipc}",
-            w.name()
-        );
+        assert!((0.05..16.0).contains(&ipc), "{}: implausible IPC {ipc}", w.name());
         assert!(s.committed >= 30_000);
     }
 }

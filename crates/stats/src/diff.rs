@@ -113,16 +113,13 @@ impl ProvenanceAlignment {
             Some(p) => p.to_json(),
             None => Json::Null,
         };
-        Json::object()
-            .set("a", side(&self.a))
-            .set("b", side(&self.b))
-            .set(
-                "same_experiment",
-                match self.same_experiment() {
-                    Some(v) => Json::Bool(v),
-                    None => Json::Null,
-                },
-            )
+        Json::object().set("a", side(&self.a)).set("b", side(&self.b)).set(
+            "same_experiment",
+            match self.same_experiment() {
+                Some(v) => Json::Bool(v),
+                None => Json::Null,
+            },
+        )
     }
 }
 
@@ -182,7 +179,9 @@ impl DiffReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         match self.provenance.same_experiment() {
-            Some(true) => out.push_str("provenance: same experiment (trace, config, policy, seed)\n"),
+            Some(true) => {
+                out.push_str("provenance: same experiment (trace, config, policy, seed)\n")
+            }
             Some(false) => {
                 out.push_str("provenance: DIFFERENT experiments\n");
                 if let (Some(a), Some(b)) = (&self.provenance.a, &self.provenance.b) {

@@ -484,10 +484,9 @@ impl<'a> Parser<'a> {
                 return Ok(Json::Int(i));
             }
         }
-        text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
-            message: format!("bad number `{text}`"),
-            offset: start,
-        })
+        text.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| JsonError { message: format!("bad number `{text}`"), offset: start })
     }
 }
 

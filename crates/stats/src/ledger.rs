@@ -167,7 +167,10 @@ impl LedgerReport {
                     mean_ipc: mean,
                     min_ipc: min,
                     max_ipc: max,
-                    last_run_id: group.last().map(|e| e.provenance.run_id.clone()).unwrap_or_default(),
+                    last_run_id: group
+                        .last()
+                        .map(|e| e.provenance.run_id.clone())
+                        .unwrap_or_default(),
                 }
             })
             .collect();
@@ -239,7 +242,8 @@ mod tests {
         let parsed = json::parse(&e.to_json().to_string_compact()).unwrap();
         assert_eq!(LedgerEntry::from_json(&parsed), Some(e));
         assert_eq!(LedgerEntry::from_json(&Json::object()), None);
-        let no_metrics = Json::object().set("provenance", entry("a", "b", 0.0, 0).provenance.to_json());
+        let no_metrics =
+            Json::object().set("provenance", entry("a", "b", 0.0, 0).provenance.to_json());
         assert_eq!(LedgerEntry::from_json(&no_metrics), None);
     }
 
@@ -276,13 +280,18 @@ mod tests {
         assert_eq!(report.entries, 4);
         assert_eq!(report.skipped, 2);
         let gzip_explore = &report.rows[0];
-        assert_eq!((gzip_explore.workload.as_str(), gzip_explore.policy.as_str()), ("gzip", "explore"));
+        assert_eq!(
+            (gzip_explore.workload.as_str(), gzip_explore.policy.as_str()),
+            ("gzip", "explore")
+        );
         assert_eq!(gzip_explore.runs, 2);
         assert_eq!(gzip_explore.configs, 1);
-        assert_eq!((gzip_explore.mean_ipc, gzip_explore.min_ipc, gzip_explore.max_ipc), (1.5, 1.0, 2.0));
         assert_eq!(
-            gzip_explore.last_run_id,
-            entries[1].provenance.run_id,
+            (gzip_explore.mean_ipc, gzip_explore.min_ipc, gzip_explore.max_ipc),
+            (1.5, 1.0, 2.0)
+        );
+        assert_eq!(
+            gzip_explore.last_run_id, entries[1].provenance.run_id,
             "last run id comes from the most recent entry"
         );
         let j = report.to_json();

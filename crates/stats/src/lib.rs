@@ -24,8 +24,6 @@ pub use json::Json;
 pub use ledger::{
     append_entry, read_ledger, LedgerEntry, LedgerReport, ReportRow, DEFAULT_LEDGER_PATH,
 };
-pub use provenance::{
-    envelope, fnv1a_64, HostFingerprint, Provenance, PROVENANCE_SCHEMA_VERSION,
-};
+pub use provenance::{envelope, fnv1a_64, HostFingerprint, Provenance, PROVENANCE_SCHEMA_VERSION};
 pub use summary::{geometric_mean, harmonic_mean, normalised, percent_change};
 pub use table::{Align, Table};

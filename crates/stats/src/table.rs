@@ -37,14 +37,9 @@ impl Table {
     /// is left-aligned and the rest right-aligned (the common
     /// label-plus-numbers case). Use [`Table::with_aligns`] to override.
     pub fn new(headers: &[&str]) -> Table {
-        let aligns = (0..headers.len())
-            .map(|i| if i == 0 { Align::Left } else { Align::Right })
-            .collect();
-        Table {
-            headers: headers.iter().map(|h| h.to_string()).collect(),
-            aligns,
-            rows: Vec::new(),
-        }
+        let aligns =
+            (0..headers.len()).map(|i| if i == 0 { Align::Left } else { Align::Right }).collect();
+        Table { headers: headers.iter().map(|h| h.to_string()).collect(), aligns, rows: Vec::new() }
     }
 
     /// Overrides column alignments.

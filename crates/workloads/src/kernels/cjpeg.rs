@@ -18,11 +18,8 @@ pub(crate) fn build() -> (String, Vec<(u64, Vec<u8>)>) {
     // Reciprocal quantisation table: scaling chosen so roughly 60% of
     // quantised coefficients truncate to zero.
     let qtable = f64_block(&mut rng, 64, 0.05, 0.4);
-    let segments = vec![
-        (REGION_A, samples),
-        (REGION_B, qtable),
-        (REGION_C, vec![0u8; BLOCKS * 64 * 4]),
-    ];
+    let segments =
+        vec![(REGION_A, samples), (REGION_B, qtable), (REGION_C, vec![0u8; BLOCKS * 64 * 4])];
     let source = format!(
         r"
 # cjpeg analogue: 4-point butterfly sweep then quantise with zero tests.

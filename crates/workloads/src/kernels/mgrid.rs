@@ -13,10 +13,8 @@ const N: usize = NX * NX * NX;
 
 pub(crate) fn build() -> (String, Vec<(u64, Vec<u8>)>) {
     let mut rng = rng_for("mgrid");
-    let segments = vec![
-        (REGION_A, f64_block(&mut rng, N, -1.0, 1.0)),
-        (REGION_B, vec![0u8; N * 8]),
-    ];
+    let segments =
+        vec![(REGION_A, f64_block(&mut rng, N, -1.0, 1.0)), (REGION_B, vec![0u8; N * 8])];
     // Interior points of the flattened grid, skipping one plane + one
     // row + one element at each end.
     let margin = NX * NX + NX + 1;

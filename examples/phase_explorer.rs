@@ -44,8 +44,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     match minimum_stable_interval(&records, &thresholds, 5.0) {
         Some((len, factor)) => {
             println!("\nThe interval algorithm would settle at {len}-instruction intervals");
-            println!("({factor:.1}% instability). Paper Table 4 reports {} for {name}.",
-                w.paper().min_stable_interval);
+            println!(
+                "({factor:.1}% instability). Paper Table 4 reports {} for {name}.",
+                w.paper().min_stable_interval
+            );
         }
         None => println!("\nRun too short to evaluate any interval length."),
     }

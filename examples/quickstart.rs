@@ -47,7 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Run it on the default 16-cluster machine, once statically wide
     // and once under the interval-based dynamic policy.
     for (label, policy) in [
-        ("static 16 clusters", Box::new(FixedPolicy::new(16)) as Box<dyn clustered::sim::ReconfigPolicy>),
+        (
+            "static 16 clusters",
+            Box::new(FixedPolicy::new(16)) as Box<dyn clustered::sim::ReconfigPolicy>,
+        ),
         ("dynamic (interval + exploration)", Box::new(IntervalExplore::default())),
     ] {
         let stream = emu::trace(program.clone()).map(|r| r.expect("program is well-formed"));

@@ -162,10 +162,7 @@ impl Flags {
     }
 
     fn get(&self, name: &str) -> Option<&str> {
-        self.values
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
+        self.values.iter().find(|(n, _)| n == name).and_then(|(_, v)| v.as_deref())
     }
 
     fn has(&self, name: &str) -> bool {
@@ -182,8 +179,8 @@ impl Flags {
 
 fn load_workload(flags: &Flags) -> Result<workloads::Workload, String> {
     if let Some(path) = flags.get("program") {
-        let source = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read `{path}`: {e}"))?;
+        let source =
+            std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
         let paper = workloads::PaperProfile {
             class: workloads::WorkloadClass::SpecInt,
             base_ipc: 0.0,
@@ -198,9 +195,8 @@ fn load_workload(flags: &Flags) -> Result<workloads::Workload, String> {
         Ok(workloads::Workload::from_source(path, "user program", paper, &source, Vec::new()))
     } else {
         let name = flags.get("workload").unwrap_or("gzip");
-        workloads::by_name(name).ok_or_else(|| {
-            format!("unknown workload `{name}`; try `clustered workloads`")
-        })
+        workloads::by_name(name)
+            .ok_or_else(|| format!("unknown workload `{name}`; try `clustered workloads`"))
     }
 }
 
@@ -234,16 +230,10 @@ fn build_policy(flags: &Flags, cfg: &SimConfig) -> Result<Box<dyn ReconfigPolicy
     let default_clusters = 4.min(cfg.clusters.count as u64);
     let clusters = flags.get_u64("clusters", default_clusters)? as usize;
     if clusters == 0 || clusters > cfg.clusters.count {
-        return Err(format!(
-            "--clusters must be in 1..={}, got {clusters}",
-            cfg.clusters.count
-        ));
+        return Err(format!("--clusters must be in 1..={}, got {clusters}", cfg.clusters.count));
     }
-    let policy = flags.get("policy").unwrap_or(if flags.has("clusters") {
-        "fixed"
-    } else {
-        "explore"
-    });
+    let policy =
+        flags.get("policy").unwrap_or(if flags.has("clusters") { "fixed" } else { "explore" });
     if policy != "fixed" && flags.has("clusters") {
         return Err(format!(
             "--clusters only applies to --policy fixed; `{policy}` chooses its own"
@@ -289,9 +279,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         (false, _) => None,
         (true, None) => Some(false),
         (true, Some("strict")) => Some(true),
-        (true, Some(other)) => {
-            return Err(format!("--audit accepts only `strict`, got `{other}`"))
-        }
+        (true, Some(other)) => return Err(format!("--audit accepts only `strict`, got `{other}`")),
     };
 
     // Capture once, replay: same records as live emulation (pinned by
@@ -384,23 +372,20 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         println!("IPC                 {:.3}", s.ipc());
         println!("mean active clusters {:.1}", s.avg_active_clusters());
         println!("reconfigurations    {}", s.reconfigurations);
-        println!("branch mispredicts  {} (1 per {:.0} instructions)", s.mispredicts, s.mispredict_interval());
-        println!("L1 hit rate         {:.1}%", 100.0 * s.l1_hit_rate());
         println!(
-            "register transfers  {} ({:.2} hops avg)",
-            s.reg_transfers,
-            s.avg_transfer_hops()
+            "branch mispredicts  {} (1 per {:.0} instructions)",
+            s.mispredicts,
+            s.mispredict_interval()
         );
+        println!("L1 hit rate         {:.1}%", 100.0 * s.l1_hit_rate());
+        println!("register transfers  {} ({:.2} hops avg)", s.reg_transfers, s.avg_transfer_hops());
         println!(
             "distant-ILP issues  {:.1}%",
             100.0 * s.distant_issues as f64 / s.committed.max(1) as f64
         );
         if let Some(a) = &audit_doc {
             let checks = a.get("checks_run").and_then(Json::as_u64).unwrap_or(0);
-            let violations = a
-                .get("violations")
-                .and_then(Json::as_arr)
-                .map_or(0, <[Json]>::len);
+            let violations = a.get("violations").and_then(Json::as_arr).map_or(0, <[Json]>::len);
             println!(
                 "audit               {} ({checks} checks, {violations} violations)",
                 if violations == 0 { "clean" } else { "VIOLATED" }
@@ -541,7 +526,10 @@ const EXPLAIN_FLAGS: &[&str] = &[
 /// Per-state commit attribution: each decision's state owns the span
 /// of commits since the previous decision; the tail after the last
 /// decision stays with the last state.
-fn commits_per_state(decisions: &[DecisionRecord], total_committed: u64) -> Vec<(PolicyState, u64)> {
+fn commits_per_state(
+    decisions: &[DecisionRecord],
+    total_committed: u64,
+) -> Vec<(PolicyState, u64)> {
     let mut spans: Vec<(PolicyState, u64)> = Vec::new();
     let mut add = |state: PolicyState, commits: u64| {
         if commits == 0 {
@@ -654,8 +642,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     for d in &decisions {
         *lengths.entry(d.interval_length).or_insert(0usize) += 1;
     }
-    let hist: Vec<String> =
-        lengths.iter().map(|(len, n)| format!("{len}\u{00d7}{n}")).collect();
+    let hist: Vec<String> = lengths.iter().map(|(len, n)| format!("{len}\u{00d7}{n}")).collect();
     println!("  interval lengths    {}", hist.join("  "));
     if let Some(d) = decisions.iter().find(|d| d.reason == DecisionReason::Discontinued) {
         println!(
@@ -838,7 +825,11 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
     for stage in HostStage::ALL {
         println!("  {:<17} {:>5.1}%", stage.as_str(), 100.0 * p.stage_share(stage));
     }
-    println!("drained events      {} (max/mean cluster skew {:.2})", p.drained_total(), p.drained_skew());
+    println!(
+        "drained events      {} (max/mean cluster skew {:.2})",
+        p.drained_total(),
+        p.drained_skew()
+    );
     println!("fully quiescent     {} of {} cycles", p.fully_quiescent_cycles(), p.cycles());
     println!("profile slices      {} ({} dropped)", p.slices().len(), p.dropped_slices());
     if let Some((path, events)) = trace_events {
@@ -849,8 +840,7 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
 
 fn cmd_asm(args: &[String]) -> Result<(), String> {
     let [path] = args else { return Err("usage: clustered asm FILE.s".into()) };
-    let source =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let program = isa::assemble(&source).map_err(|e| format!("{path}: {e}"))?;
     println!(
         "{}: {} instructions, {} data bytes, entry at {}",
@@ -888,7 +878,8 @@ fn cmd_workloads() -> Result<(), String> {
 }
 
 fn cmd_phases(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["workload", "program", "instructions", "warmup", "base-interval"])?;
+    let flags =
+        Flags::parse(args, &["workload", "program", "instructions", "warmup", "base-interval"])?;
     let instructions = flags.get_u64("instructions", 500_000)?;
     let warmup = flags.get_u64("warmup", 50_000)?;
     let base = flags.get_u64("base-interval", 1_000)?;

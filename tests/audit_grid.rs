@@ -56,9 +56,14 @@ fn run_audited(
     cfg: SimConfig,
     policy: Box<dyn ReconfigPolicy>,
 ) -> (SimStats, AuditObserver) {
-    let mut cpu =
-        Processor::with_observer(cfg, trace.replay(), policy, SteeringKind::default(), AuditObserver::new())
-            .expect("valid matrix config");
+    let mut cpu = Processor::with_observer(
+        cfg,
+        trace.replay(),
+        policy,
+        SteeringKind::default(),
+        AuditObserver::new(),
+    )
+    .expect("valid matrix config");
     cpu.run(WARMUP).expect("no stall in warm-up");
     let before = *cpu.stats();
     cpu.run(MEASURE).expect("no stall");
@@ -142,10 +147,7 @@ fn injected_fetch_skew_is_caught_on_a_real_run() {
     let auditor = cpu.observer();
     assert!(!auditor.is_clean(), "the skew must be detected");
     assert!(
-        auditor
-            .violations()
-            .iter()
-            .all(|v| v.invariant == AuditInvariant::FetchConservation),
+        auditor.violations().iter().all(|v| v.invariant == AuditInvariant::FetchConservation),
         "only fetch-conservation may fire: {:?}",
         auditor.violations()
     );

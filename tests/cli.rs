@@ -3,10 +3,7 @@
 use std::process::{Command, Output};
 
 fn clustered(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_clustered"))
-        .args(args)
-        .output()
-        .expect("binary runs")
+    Command::new(env!("CARGO_BIN_EXE_clustered")).args(args).output().expect("binary runs")
 }
 
 fn stdout(out: &Output) -> String {
@@ -147,10 +144,7 @@ fn csv_timeline_excludes_warmup_intervals() {
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let csv = std::fs::read_to_string(&path).expect("csv written");
     let mut lines = csv.lines();
-    assert_eq!(
-        lines.next(),
-        Some("committed,cycles,ipc,branches,memrefs,clusters")
-    );
+    assert_eq!(lines.next(), Some("committed,cycles,ipc,branches,memrefs,clusters"));
     let first: u64 = lines
         .next()
         .expect("at least one interval")
@@ -336,8 +330,7 @@ fn explain_limit_truncates_and_decisions_flag_dumps_parseable_jsonl() {
         .expect("header is valid JSON");
     assert_eq!(header.get("event").and_then(Json::as_str), Some("provenance"));
     assert!(
-        clustered::stats::Provenance::from_json(header.get("provenance").expect("block"))
-            .is_some(),
+        clustered::stats::Provenance::from_json(header.get("provenance").expect("block")).is_some(),
         "header carries a parseable provenance record"
     );
     assert!(lines.clone().count() > 5, "the dump holds every decision, not just shown rows");
@@ -382,10 +375,7 @@ fn explain_warns_when_decision_records_drop() {
 
     let out = clustered(&args("100000"));
     assert!(out.status.success(), "stderr: {}", stderr(&out));
-    assert!(
-        !stdout(&out).contains("warning:"),
-        "no warning when every record fits the cap"
-    );
+    assert!(!stdout(&out).contains("warning:"), "no warning when every record fits the cap");
 }
 
 #[test]
@@ -424,8 +414,7 @@ fn perf_writes_host_profile_and_chrome_trace() {
         assert!(e.get("ph").and_then(Json::as_str).is_some(), "every event has ph");
         assert!(e.get("name").and_then(Json::as_str).is_some(), "every event has name");
     }
-    let ph =
-        |kind| events.iter().filter(move |e| e.get("ph").and_then(Json::as_str) == Some(kind));
+    let ph = |kind| events.iter().filter(move |e| e.get("ph").and_then(Json::as_str) == Some(kind));
     assert!(
         ph("X").any(|e| e.get("name").and_then(Json::as_str) == Some("host event_drain")),
         "stage spans present"
@@ -491,14 +480,18 @@ fn run_audit_strict_is_clean_and_surfaces_the_report() {
     let audit = envelope.get("data").and_then(|d| d.get("audit")).expect("audit block");
     assert_eq!(audit.get("clean").and_then(Json::as_bool), Some(true));
     assert!(audit.get("checks_run").and_then(Json::as_u64).expect("checks_run") > 0);
-    assert_eq!(
-        audit.get("violations").and_then(Json::as_arr).map(<[Json]>::len),
-        Some(0)
-    );
+    assert_eq!(audit.get("violations").and_then(Json::as_arr).map(<[Json]>::len), Some(0));
 
     // Text mode prints the one-line verdict.
     let out = clustered(&[
-        "run", "--workload", "gzip", "--warmup", "2000", "--instructions", "10000", "--audit",
+        "run",
+        "--workload",
+        "gzip",
+        "--warmup",
+        "2000",
+        "--instructions",
+        "10000",
+        "--audit",
     ]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("audit               clean"), "{}", stdout(&out));
@@ -506,9 +499,8 @@ fn run_audit_strict_is_clean_and_surfaces_the_report() {
 
 #[test]
 fn run_audit_rejects_unknown_modes() {
-    let out = clustered(&[
-        "run", "--workload", "gzip", "--instructions", "5000", "--audit", "bogus",
-    ]);
+    let out =
+        clustered(&["run", "--workload", "gzip", "--instructions", "5000", "--audit", "bogus"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--audit"), "{}", stderr(&out));
 }
@@ -541,12 +533,8 @@ fn diff_verdicts_identical_same_config_and_drifted_across_policies() {
     assert!(stdout(&out).contains("verdict: identical"), "{}", stdout(&out));
     assert!(stdout(&out).contains("same experiment"), "{}", stdout(&out));
 
-    let out = clustered(&[
-        "diff",
-        a.to_str().expect("utf-8"),
-        c.to_str().expect("utf-8"),
-        "--json",
-    ]);
+    let out =
+        clustered(&["diff", a.to_str().expect("utf-8"), c.to_str().expect("utf-8"), "--json"]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let doc = clustered::stats::json::parse(&stdout(&out)).expect("valid JSON");
     assert_eq!(doc.get("verdict").and_then(Json::as_str), Some("drifted"));

@@ -2,9 +2,7 @@
 //! assembler → emulator → workloads → simulator → policies.
 
 use clustered::policies::{FineGrain, IntervalDistantIlp, IntervalExplore};
-use clustered::sim::{
-    CacheModel, FixedPolicy, Processor, ReconfigPolicy, SimConfig, SimStats,
-};
+use clustered::sim::{CacheModel, FixedPolicy, Processor, ReconfigPolicy, SimConfig, SimStats};
 use clustered::{emu, isa, workloads};
 
 fn run_policy_warm(
@@ -34,17 +32,11 @@ fn run_policy(
 
 #[test]
 fn assembled_program_runs_through_the_whole_stack() {
-    let program = isa::assemble(
-        "start: li r1, 64\n loop: addi r1, r1, -1\n bnez r1, loop\n halt",
-    )
-    .expect("valid program");
+    let program = isa::assemble("start: li r1, 64\n loop: addi r1, r1, -1\n bnez r1, loop\n halt")
+        .expect("valid program");
     let stream = emu::trace(program).map(|r| r.expect("well-formed"));
-    let mut cpu = Processor::new(
-        SimConfig::default(),
-        stream,
-        Box::new(FixedPolicy::new(4)),
-    )
-    .expect("valid config");
+    let mut cpu = Processor::new(SimConfig::default(), stream, Box::new(FixedPolicy::new(4)))
+        .expect("valid config");
     let stats = cpu.run(u64::MAX).expect("no stall");
     assert_eq!(stats.committed, 129, "li + 64×(addi+bnez)");
     assert!(cpu.finished());
@@ -116,12 +108,7 @@ fn committed_work_is_policy_independent() {
 fn decentralized_reconfiguration_flushes_the_cache() {
     let mut cfg = SimConfig::default();
     cfg.cache.model = CacheModel::Decentralized;
-    let s = run_policy(
-        "swim",
-        cfg,
-        Box::new(IntervalDistantIlp::with_interval(2_000)),
-        60_000,
-    );
+    let s = run_policy("swim", cfg, Box::new(IntervalDistantIlp::with_interval(2_000)), 60_000);
     if s.reconfigurations > 0 {
         assert!(
             s.flush_writebacks > 0 || s.flush_stall_cycles > 0,
@@ -142,8 +129,10 @@ fn decentralized_reconfiguration_flushes_the_cache() {
 
 #[test]
 fn runs_are_deterministic() {
-    let a = run_policy("crafty", SimConfig::default(), Box::new(IntervalExplore::default()), 25_000);
-    let b = run_policy("crafty", SimConfig::default(), Box::new(IntervalExplore::default()), 25_000);
+    let a =
+        run_policy("crafty", SimConfig::default(), Box::new(IntervalExplore::default()), 25_000);
+    let b =
+        run_policy("crafty", SimConfig::default(), Box::new(IntervalExplore::default()), 25_000);
     assert_eq!(a, b, "identical runs must produce identical statistics");
 }
 

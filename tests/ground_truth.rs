@@ -81,9 +81,7 @@ fn short_intervals_flap_as_the_paper_observed() {
 fn serial_phase_shows_no_distant_ilp() {
     let serial = phased("s", &[PhaseSpec::lasting(PhaseKind::Serial, 50_000)]);
     let parallel = phased("p", &[PhaseSpec::lasting(PhaseKind::Parallel, 50_000)]);
-    let fixed = |w: &Workload| {
-        run(w, Box::new(clustered::sim::FixedPolicy::new(16)), 40_000)
-    };
+    let fixed = |w: &Workload| run(w, Box::new(clustered::sim::FixedPolicy::new(16)), 40_000);
     let s = fixed(&serial);
     let p = fixed(&parallel);
     let s_frac = s.distant_issues as f64 / s.committed as f64;

@@ -144,13 +144,10 @@ fn observed_explore_run_exports_all_three_documents() {
     let events = trace.as_arr().expect("array");
     let spans: Vec<&Json> =
         events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("X")).collect();
-    let instants = events
-        .iter()
-        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("i"))
-        .count() as u64;
+    let instants =
+        events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("i")).count() as u64;
     assert_eq!(instants, stats.reconfigurations);
     assert_eq!(spans.len() as u64, stats.reconfigurations + 1, "one span per configuration era");
-    let span_cycles: f64 =
-        spans.iter().filter_map(|e| e.get("dur").and_then(Json::as_f64)).sum();
+    let span_cycles: f64 = spans.iter().filter_map(|e| e.get("dur").and_then(Json::as_f64)).sum();
     assert_eq!(span_cycles, stats.cycles as f64, "spans tile the whole run");
 }

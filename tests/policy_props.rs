@@ -9,8 +9,7 @@
 //! panics.
 
 use clustered::policies::{
-    FineGrain, FineGrainConfig, IntervalDistantIlp, IntervalExplore, IntervalExploreConfig,
-    Trigger,
+    FineGrain, FineGrainConfig, IntervalDistantIlp, IntervalExplore, IntervalExploreConfig, Trigger,
 };
 use clustered::sim::{CommitEvent, ReconfigPolicy};
 use proptest::prelude::*;

@@ -7,8 +7,8 @@
 
 use clustered::emu::Memory;
 use clustered::isa::{
-    assemble, disassemble, AluOp, ArchReg, BranchCond, FpCmpOp, FpOp, FpReg, FpUnOp, Inst,
-    IntReg, MemWidth, MulDivOp, Operand,
+    assemble, disassemble, AluOp, ArchReg, BranchCond, FpCmpOp, FpOp, FpReg, FpUnOp, Inst, IntReg,
+    MemWidth, MulDivOp, Operand,
 };
 use clustered::sim::{
     CacheArray, Interconnect, InterconnectParams, SlotReservations, SteerRequest, Steering,
@@ -26,10 +26,7 @@ fn fp_reg() -> impl Strategy<Value = FpReg> {
 }
 
 fn operand() -> impl Strategy<Value = Operand> {
-    prop_oneof![
-        int_reg().prop_map(Operand::Reg),
-        (-1_000_000i64..1_000_000).prop_map(Operand::Imm),
-    ]
+    prop_oneof![int_reg().prop_map(Operand::Reg), (-1_000_000i64..1_000_000).prop_map(Operand::Imm),]
 }
 
 fn alu_op() -> impl Strategy<Value = AluOp> {
@@ -67,8 +64,12 @@ fn branch_cond() -> impl Strategy<Value = BranchCond> {
 fn inst() -> impl Strategy<Value = Inst> {
     let offset = -4096i64..4096;
     prop_oneof![
-        (alu_op(), int_reg(), int_reg(), operand())
-            .prop_map(|(op, rd, rs1, src2)| Inst::Alu { op, rd, rs1, src2 }),
+        (alu_op(), int_reg(), int_reg(), operand()).prop_map(|(op, rd, rs1, src2)| Inst::Alu {
+            op,
+            rd,
+            rs1,
+            src2
+        }),
         (int_reg(), any::<i64>()).prop_map(|(rd, imm)| Inst::Li { rd, imm }),
         (
             prop_oneof![Just(MulDivOp::Mul), Just(MulDivOp::Div), Just(MulDivOp::Rem)],
@@ -115,10 +116,16 @@ fn inst() -> impl Strategy<Value = Inst> {
             .prop_map(|(width, rd, base, offset)| Inst::Load { width, rd, base, offset }),
         (mem_width(), int_reg(), int_reg(), offset.clone())
             .prop_map(|(width, rs, base, offset)| Inst::Store { width, rs, base, offset }),
-        (fp_reg(), int_reg(), offset.clone())
-            .prop_map(|(fd, base, offset)| Inst::FpLoad { fd, base, offset }),
-        (fp_reg(), int_reg(), offset)
-            .prop_map(|(fs, base, offset)| Inst::FpStore { fs, base, offset }),
+        (fp_reg(), int_reg(), offset.clone()).prop_map(|(fd, base, offset)| Inst::FpLoad {
+            fd,
+            base,
+            offset
+        }),
+        (fp_reg(), int_reg(), offset).prop_map(|(fs, base, offset)| Inst::FpStore {
+            fs,
+            base,
+            offset
+        }),
         (branch_cond(), int_reg(), int_reg(), 0u32..10_000)
             .prop_map(|(cond, rs1, rs2, target)| Inst::Branch { cond, rs1, rs2, target }),
         (0u32..10_000).prop_map(|target| Inst::Jump { target }),

@@ -23,9 +23,7 @@
 //! ```
 
 use clustered_core::{FineGrain, IntervalDistantIlp, IntervalExplore};
-use clustered_sim::{
-    CacheModel, FixedPolicy, Processor, ReconfigPolicy, SimConfig, SimStats,
-};
+use clustered_sim::{CacheModel, FixedPolicy, Processor, ReconfigPolicy, SimConfig, SimStats};
 use clustered_stats::{json, Json};
 use clustered_workloads::CapturedTrace;
 use std::path::PathBuf;
