@@ -13,14 +13,19 @@
 //!    memory shape, the control-transfer kind), built once per capture.
 //!    The class doubles as the steering hint: the issue-queue domain
 //!    and functional-unit group are pure functions of it.
-//! 2. **Dynamic records** — the capture's own 16-byte records (PC,
-//!    effective address or next PC, taken bit); the PC indexes the
-//!    table.
+//! 2. **Packed dynamic stream** — the capture's own byte stream:
+//!    nothing for a record that is neither a memref nor a control
+//!    transfer, a varint address delta for a memref, a varint next-PC
+//!    delta and taken bit for a control transfer. Each PC is implied
+//!    by the record before it and indexes the table, which says which
+//!    of the three the record is.
 //!
 //! Compiling builds nothing: [`CapturedTrace::compile`] clones the two
-//! `Arc`s. [`CompiledReplay::next_run`] ends a run after the first
-//! record whose table entry is a control transfer, so the fetch stage
-//! still gets whole basic blocks per call.
+//! `Arc`s. A replay is those two `Arc`s plus a `Copy` cursor, and each
+//! record costs one table lookup and at most one varint read.
+//! [`CompiledReplay::next_run`] ends a run after the first record
+//! whose table entry is a control transfer, so the fetch stage still
+//! gets whole basic blocks per call.
 //!
 //! The decoded stream is bit-identical to [`TraceReplay`](crate::TraceReplay) and to live
 //! emulation (pinned by the tests here and by
@@ -28,19 +33,20 @@
 //! oracle — which fixes the *schedule*, a function of the decoded
 //! stream alone — applies to the compiled path unchanged.
 
-use crate::capture::{CapturedTrace, Record, StaticOp};
+use crate::capture::{CapturedTrace, StaticOp};
+use crate::packed::{Cursor, PackedStream};
 use clustered_emu::{DecodedInst, TraceSource};
 use std::sync::Arc;
 
 /// The pre-decoded view of a [`CapturedTrace`], made by
 /// [`CapturedTrace::compile`]. It shares the capture's static table and
-/// record buffer, so cloning it (and [`CompiledTrace::replay`]) only
-/// bumps reference counts and sweep workers share one copy.
+/// packed record stream, so cloning it (and [`CompiledTrace::replay`])
+/// only bumps reference counts and sweep workers share one copy.
 #[derive(Debug, Clone)]
 pub struct CompiledTrace {
     name: String,
     table: Arc<[StaticOp]>,
-    records: Arc<Vec<Record>>,
+    stream: Arc<PackedStream>,
     ended_at_halt: bool,
 }
 
@@ -51,7 +57,7 @@ impl CapturedTrace {
         CompiledTrace {
             name: self.name.clone(),
             table: Arc::clone(&self.table),
-            records: Arc::clone(&self.records),
+            stream: Arc::clone(&self.stream),
             ended_at_halt: self.ended_at_halt,
         }
     }
@@ -65,12 +71,12 @@ impl CompiledTrace {
 
     /// Number of compiled dynamic records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.stream.len()
     }
 
     /// Whether the compiled stream is empty.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.stream.len() == 0
     }
 
     /// Whether the underlying capture covers a complete execution (see
@@ -91,9 +97,13 @@ impl CompiledTrace {
     /// budget, [`CompiledReplay::next_run`] returns exactly this many
     /// runs.
     pub fn block_count(&self) -> usize {
-        let is_branch = |r: &Record| self.table[r.pc as usize].branch.is_some();
-        let ends = self.records.iter().filter(|r| is_branch(r)).count();
-        ends + usize::from(self.records.last().is_some_and(|r| !is_branch(r)))
+        // An empty stream has no tail, as if it ended on a branch.
+        let (mut ends, mut last_is_branch) = (0, true);
+        for (_, op) in self.stream.iter(&self.table) {
+            last_is_branch = op.branch.is_some();
+            ends += usize::from(last_is_branch);
+        }
+        ends + usize::from(!last_is_branch)
     }
 
     /// A fresh pre-decoded replay over the compiled stream. Cheap:
@@ -101,64 +111,44 @@ impl CompiledTrace {
     pub fn replay(&self) -> CompiledReplay {
         CompiledReplay {
             table: Arc::clone(&self.table),
-            records: Arc::clone(&self.records),
-            pos: 0,
+            stream: Arc::clone(&self.stream),
+            at: self.stream.start(),
         }
     }
 }
 
 /// A cheap cloneable [`TraceSource`] replaying a [`CompiledTrace`]:
 /// each record is assembled from the static table and its dynamic bits
-/// — no `Program` lookup, no per-record re-decoding.
+/// — no `Program` lookup, no per-record re-decoding. Runs come from the
+/// trait's default `next_run`, one record at a time.
 #[derive(Debug, Clone)]
 pub struct CompiledReplay {
     table: Arc<[StaticOp]>,
-    records: Arc<Vec<Record>>,
-    pos: usize,
+    stream: Arc<PackedStream>,
+    at: Cursor,
 }
 
 impl CompiledReplay {
     /// Records remaining to be replayed.
     pub fn remaining(&self) -> usize {
-        self.records.len() - self.pos
-    }
-}
-
-fn decode(table: &[StaticOp], seq: usize, r: &Record) -> DecodedInst {
-    let op = &table[r.pc as usize];
-    DecodedInst {
-        seq: seq as u64,
-        pc: r.pc,
-        class: op.class,
-        srcs: op.srcs,
-        dest: op.dest,
-        mem: r.mem(op),
-        branch: r.branch(op),
+        self.stream.len() - self.at.pos()
     }
 }
 
 impl TraceSource for CompiledReplay {
+    #[inline]
     fn next_decoded(&mut self) -> Option<DecodedInst> {
-        let d = decode(&self.table, self.pos, self.records.get(self.pos)?);
-        self.pos += 1;
-        Some(d)
-    }
-
-    /// Serves up to `max` records from one slice, stopping after the
-    /// first control transfer: one bounds check per run.
-    fn next_run(&mut self, max: usize, out: &mut Vec<DecodedInst>) -> usize {
-        let base = self.pos;
-        let end = self.records.len().min(base.saturating_add(max));
-        for (k, r) in self.records[base..end].iter().enumerate() {
-            let d = decode(&self.table, base + k, r);
-            out.push(d);
-            if d.branch.is_some() {
-                self.pos = base + k + 1;
-                return k + 1;
-            }
-        }
-        self.pos = end;
-        end - base
+        let seq = self.at.pos() as u64;
+        let (r, op) = self.at.next(&self.stream, &self.table)?;
+        Some(DecodedInst {
+            seq,
+            pc: r.pc,
+            class: op.class,
+            srcs: op.srcs,
+            dest: op.dest,
+            mem: r.mem(op),
+            branch: r.branch(op),
+        })
     }
 }
 
@@ -192,15 +182,15 @@ mod tests {
     }
 
     /// Compiling copies nothing: the capture, its clones, and every
-    /// compiled view share one record buffer and one table.
+    /// compiled view share one packed stream and one table.
     #[test]
     fn compile_shares_the_capture_buffers() {
         let w = by_name("gzip").unwrap();
         let captured = CapturedTrace::capture(&w, 1_000);
         let a = captured.compile();
         let b = captured.clone().compile();
-        assert!(Arc::ptr_eq(&a.records, &captured.records), "compile must not copy records");
-        assert!(Arc::ptr_eq(&a.records, &b.records), "clones must share one record buffer");
+        assert!(Arc::ptr_eq(&a.stream, &captured.stream), "compile must not copy records");
+        assert!(Arc::ptr_eq(&a.stream, &b.stream), "clones must share one packed stream");
         assert!(Arc::ptr_eq(&a.table, &b.table), "clones must share one table");
     }
 
