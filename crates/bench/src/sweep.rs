@@ -31,7 +31,7 @@
 //! # Examples
 //!
 //! ```
-//! use clustered_bench::sweep::{run_sweep_jobs, SweepPoint};
+//! use clustered_bench::sweep::{run_point, run_sweep_with, SweepPoint};
 //! use clustered_sim::{FixedPolicy, SimConfig};
 //! use clustered_workloads::CapturedTrace;
 //!
@@ -50,7 +50,7 @@
 //!         )
 //!     })
 //!     .collect();
-//! let stats = run_sweep_jobs(&points, 2); // input order, regardless of finish order
+//! let stats = run_sweep_with(&points, 2, run_point); // input order, regardless of finish order
 //! assert_eq!(stats.len(), 2);
 //! assert!(stats.iter().all(|s| s.committed >= 5_000));
 //! ```
@@ -178,24 +178,15 @@ pub fn jobs(value: Option<&str>) -> Result<usize, String> {
 /// or on the configuration/stall conditions of
 /// [`run_experiment`](crate::run_experiment).
 pub fn run_point(point: &SweepPoint) -> SimStats {
-    run_point_with(point, NullObserver).stats
+    run_point_as(point, (point.policy)(), NullObserver).stats
 }
 
-/// [`run_point`] with an observer watching the run, e.g. a
-/// [`DecisionTrace`](clustered_sim::DecisionTrace) for the
+/// [`run_point`] under a caller-built `policy` instead of one from the
+/// point's factory, with an `observer` watching the run: e.g. a
+/// [`Recording`](clustered_core::Recording) of the point's own policy,
+/// which cannot cross threads and so is built on the worker that runs
+/// it, or a [`DecisionTrace`](clustered_sim::DecisionTrace) for the
 /// `experiments --decisions` dumps.
-///
-/// # Panics
-///
-/// As for [`run_point`].
-pub fn run_point_with<O: SimObserver>(point: &SweepPoint, observer: O) -> Run<O> {
-    run_point_as(point, (point.policy)(), observer)
-}
-
-/// [`run_point_with`] under a caller-built `policy` instead of one from
-/// the point's factory: for a policy that cannot cross threads, such as
-/// a [`Recording`](clustered_core::Recording) of the point's own
-/// policy, built on the worker that runs it.
 ///
 /// # Panics
 ///
@@ -428,30 +419,15 @@ impl<O> SweepOutcome for Run<O> {
     }
 }
 
-/// Runs every point on the calling thread, in order.
-pub fn run_sweep_serial(points: &[SweepPoint]) -> Vec<SimStats> {
-    run_sweep_with(points, 1, run_point)
-}
-
-/// Runs the grid on `jobs` worker threads and returns statistics in
-/// input order. Bit-identical to [`run_sweep_serial`] — scheduling
-/// cannot leak into the results because every simulation is isolated.
+/// The sweep executor: applies `runner` to every point on up to `jobs`
+/// worker threads and returns the results in input order. With
+/// `jobs == 1` the points run on the calling thread, in order; any
+/// other worker count gives bit-identical results, because every
+/// simulation is isolated.
 ///
-/// # Panics
-///
-/// Propagates panics from worker threads (a panicking point poisons
-/// the whole sweep — grids are expected to be panic-free).
-pub fn run_sweep_jobs(points: &[SweepPoint], jobs: usize) -> Vec<SimStats> {
-    run_sweep_with(points, jobs, run_point)
-}
-
-/// The generic sweep executor: applies `runner` to every point on up
-/// to `jobs` worker threads and returns the results in input order.
-///
-/// [`run_sweep_jobs`] is `run_sweep_with(points, jobs, run_point)`; pass
-/// `|p| run_point_with(p, DecisionTrace::new())` to collect decision
-/// telemetry per point, or any custom closure whose result implements
-/// [`SweepOutcome`]. With
+/// Pass [`run_point`] for plain statistics, or a closure over
+/// [`run_point_as`] to watch each point with an observer; any result
+/// type implementing [`SweepOutcome`] works. With
 /// `CLUSTERED_PROGRESS=1` each completed point logs one stderr line
 /// (with cumulative elapsed time and an ETA) as it finishes, in
 /// completion (not input) order; with `CLUSTERED_PROGRESS=<path>.jsonl`
@@ -459,7 +435,8 @@ pub fn run_sweep_jobs(points: &[SweepPoint], jobs: usize) -> Vec<SimStats> {
 ///
 /// # Panics
 ///
-/// Propagates panics from worker threads.
+/// Propagates panics from worker threads (a panicking point poisons
+/// the whole sweep — grids are expected to be panic-free).
 pub fn run_sweep_with<R, F>(points: &[SweepPoint], jobs: usize, runner: F) -> Vec<R>
 where
     R: Send + SweepOutcome,

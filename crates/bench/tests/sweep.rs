@@ -8,7 +8,7 @@
 //! * **Determinism**: repeating a run — serially or under the worker
 //!   pool — yields identical statistics.
 
-use clustered_bench::sweep::{run_point, run_sweep_jobs, run_sweep_serial, SweepPoint};
+use clustered_bench::sweep::{run_point, run_sweep_with, SweepPoint};
 use clustered_bench::{run_experiment, run_experiment_with};
 use clustered_core::{FineGrain, IntervalDistantIlp, IntervalExplore};
 use clustered_sim::{CacheModel, FixedPolicy, NullObserver, SimConfig, SteeringKind, Topology};
@@ -131,9 +131,9 @@ fn mixed_grid() -> Vec<SweepPoint> {
 #[test]
 fn parallel_sweep_equals_serial_sweep() {
     let points = mixed_grid();
-    let serial = run_sweep_serial(&points);
+    let serial = run_sweep_with(&points, 1, run_point);
     for jobs in [2, 3, 8] {
-        let parallel = run_sweep_jobs(&points, jobs);
+        let parallel = run_sweep_with(&points, jobs, run_point);
         assert_eq!(serial, parallel, "parallel ({jobs} jobs) diverged from serial");
     }
 }
@@ -142,9 +142,9 @@ fn parallel_sweep_equals_serial_sweep() {
 /// serially and under the worker pool.
 #[test]
 fn sweeps_are_deterministic_across_runs() {
-    let first = run_sweep_jobs(&mixed_grid(), 3);
-    let again = run_sweep_jobs(&mixed_grid(), 3);
+    let first = run_sweep_with(&mixed_grid(), 3, run_point);
+    let again = run_sweep_with(&mixed_grid(), 3, run_point);
     assert_eq!(first, again, "repeated parallel sweep diverged");
-    let serial = run_sweep_serial(&mixed_grid());
+    let serial = run_sweep_with(&mixed_grid(), 1, run_point);
     assert_eq!(first, serial, "parallel sweep diverged from fresh serial run");
 }

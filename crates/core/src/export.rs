@@ -7,7 +7,7 @@
 //!   wrapper's per-interval [`TimelineEntry`] buffer as JSON Lines —
 //!   one self-contained object per interval, the natural input for
 //!   plotting IPC against the policy's cluster decisions.
-//! * [`chrome_trace`] renders a [`MetricsObserver`]'s event log in
+//! * [`chrome_trace`] renders a [`ReconfigLog`]'s event log in
 //!   the Chrome trace-event format: every active-cluster configuration
 //!   is a duration (`"ph": "X"`) event, every reconfiguration an
 //!   instant (`"ph": "i"`) event, and every decentralized flush stall a
@@ -26,7 +26,7 @@
 //! microseconds: one trace "µs" is one cycle.
 
 use crate::recording::TimelineEntry;
-use clustered_sim::{DecisionRecord, HostProfiler, HostStage, MetricsObserver};
+use clustered_sim::{DecisionRecord, HostProfiler, HostStage, ReconfigLog, SimStats};
 use clustered_stats::Json;
 
 /// Trace thread-id base for the host-profile stage tracks: stage `i`
@@ -87,7 +87,7 @@ fn counter_event(name: &str, ts: u64, series: &str, value: f64) -> Json {
         .set("args", Json::object().set(series, value))
 }
 
-/// The observer's event log as a Chrome trace-event array.
+/// A run's reconfiguration log as a Chrome trace-event array.
 ///
 /// Track 0 carries one duration event per active-cluster configuration
 /// span and one instant event per reconfiguration; track 1 carries the
@@ -95,13 +95,20 @@ fn counter_event(name: &str, ts: u64, series: &str, value: f64) -> Json {
 /// `decisions` appends three counter samples (`"ph": "C"`) — `active
 /// clusters`, `interval IPC`, and `instability`. The result serializes
 /// to a JSON array loadable by `chrome://tracing` and Perfetto.
-pub fn chrome_trace(m: &MetricsObserver, decisions: &[DecisionRecord]) -> Json {
+///
+/// `stats` must cover the same cycles as `log`, from cycle 0: the last
+/// span ends at `stats.cycles`, and a run that never reconfigured
+/// spans the one configuration `stats.cycles_at_config` counts.
+pub fn chrome_trace(log: &ReconfigLog, decisions: &[DecisionRecord], stats: &SimStats) -> Json {
     let mut events: Vec<Json> = Vec::new();
     // Configuration spans: from the run's start through each
-    // reconfiguration to the final observed cycle.
+    // reconfiguration to the run's last cycle.
     let mut span_start = 0u64;
-    let mut clusters = m.initial_clusters;
-    for r in &m.reconfigs {
+    let mut clusters = match log.reconfigs.first() {
+        Some(r) => r.from,
+        None => stats.cycles_at_config.iter().position(|&c| c > 0).map_or(0, |i| i + 1),
+    };
+    for r in &log.reconfigs {
         events.push(duration_event(
             format!("{clusters} clusters"),
             span_start,
@@ -122,16 +129,16 @@ pub fn chrome_trace(m: &MetricsObserver, decisions: &[DecisionRecord]) -> Json {
         span_start = r.cycle;
         clusters = r.to;
     }
-    if m.last_cycle > span_start || events.is_empty() {
+    if stats.cycles > span_start || events.is_empty() {
         events.push(duration_event(
             format!("{clusters} clusters"),
             span_start,
-            m.last_cycle.saturating_sub(span_start),
+            stats.cycles.saturating_sub(span_start),
             0,
             Json::object().set("clusters", clusters),
         ));
     }
-    for f in &m.flushes {
+    for f in &log.flushes {
         events.push(duration_event(
             "reconfiguration flush".to_string(),
             f.cycle,
@@ -265,20 +272,29 @@ mod tests {
         assert!(timeline_jsonl(&[]).is_empty());
     }
 
-    /// Drives a [`MetricsObserver`] by hand: 16 clusters to cycle 100,
+    /// Statistics of a `cycles`-cycle run that spent `at` cycles at
+    /// each `(clusters, at)` configuration.
+    fn stats_of(cycles: u64, configs: &[(usize, u64)]) -> SimStats {
+        let mut s = SimStats { cycles, ..SimStats::default() };
+        for &(clusters, at) in configs {
+            s.cycles_at_config[clusters - 1] = at;
+        }
+        s
+    }
+
+    /// Drives a [`ReconfigLog`] by hand: 16 clusters to cycle 100,
     /// then 4 clusters (with a flush) to cycle 250.
-    fn observed_run() -> MetricsObserver {
-        let mut m = MetricsObserver::new(50);
-        m.on_cycle(1, 16, 0);
+    fn observed_run() -> (ReconfigLog, SimStats) {
+        let mut m = ReconfigLog::new();
         m.on_flush_stall(100, 12, 30);
         m.on_reconfig(100, 16, 4);
-        m.on_cycle(250, 4, 0);
-        m
+        (m, stats_of(250, &[(16, 100), (4, 150)]))
     }
 
     #[test]
     fn chrome_trace_has_spans_instants_and_flushes() {
-        let trace = chrome_trace(&observed_run(), &[]);
+        let (log, stats) = observed_run();
+        let trace = chrome_trace(&log, &[], &stats);
         let events = trace.as_arr().expect("trace is an array");
         // 2 configuration spans + 1 instant + 1 flush.
         assert_eq!(events.len(), 4);
@@ -318,7 +334,8 @@ mod tests {
             clusters: 4,
             reason: DecisionReason::Exploring,
         };
-        let trace = chrome_trace(&observed_run(), &[decision]);
+        let (log, stats) = observed_run();
+        let trace = chrome_trace(&log, &[decision], &stats);
         let events = trace.as_arr().expect("trace is an array");
         // The decision adds exactly three counter samples; the span /
         // instant / flush population is untouched.
@@ -362,7 +379,8 @@ mod tests {
                 reason: DecisionReason::StableNoChange,
             })
             .collect();
-        let trace = chrome_trace(&observed_run(), &decisions);
+        let (log, stats) = observed_run();
+        let trace = chrome_trace(&log, &decisions, &stats);
         // Round-trip through the clustered_stats parser.
         let reparsed = json::parse(&trace.to_string_compact()).expect("valid trace JSON");
         assert_eq!(reparsed, trace);
@@ -521,10 +539,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_of_steady_run_is_one_span() {
-        let mut m = MetricsObserver::new(50);
-        m.on_cycle(1, 8, 0);
-        m.on_cycle(400, 8, 0);
-        let trace = chrome_trace(&m, &[]);
+        let trace = chrome_trace(&ReconfigLog::new(), &[], &stats_of(400, &[(8, 400)]));
         let events = trace.as_arr().unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].get("name").and_then(Json::as_str), Some("8 clusters"));

@@ -13,8 +13,8 @@
 //! slot* ahead of time.
 //!
 //! Every `Iterator<Item = DynInst>` is a `TraceSource` through the
-//! blanket impl (decoding on the fly), so live emulation and plain
-//! captured-trace replay need no changes at their call sites.
+//! blanket impl (decoding on the fly), so live emulation needs no
+//! changes at its call sites.
 
 use crate::trace::{BranchOutcome, DynInst, MemAccess};
 use clustered_isa::{ArchReg, OpClass};

@@ -31,8 +31,8 @@ pub const HOST_STAGE_COUNT: usize = 6;
 
 /// One wall-clock bucket of the cycle loop.
 ///
-/// `Other` is the loop glue outside the five pipeline stages (statistic
-/// increments, the `on_cycle` callback); including it makes the buckets
+/// `Other` is the loop glue outside the five pipeline stages (the
+/// per-cycle statistic increments); including it makes the buckets
 /// *partition* the measured loop time, so shares always sum to 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostStage {

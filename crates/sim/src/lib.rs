@@ -86,10 +86,10 @@ pub use host::{
 pub use interconnect::Interconnect;
 pub use lsq::LsqSlice;
 pub use observe::{
-    DecisionTrace, FlushEvent, IpcSample, MetricsObserver, NullObserver, ReconfigEvent,
-    SimObserver, TransferKind, DEFAULT_EVENT_CAP,
+    DecisionTrace, FlushEvent, NullObserver, ReconfigEvent, ReconfigLog, SimObserver,
+    DEFAULT_EVENT_CAP,
 };
-pub use pipeline::{drive, OccupancySnapshot, Processor, Run, SimError};
+pub use pipeline::{drive, Processor, Run, SimError};
 pub use reconfig::{
     CommitEvent, FixedPolicy, ReconfigPolicy, DISTANT_DEPTH, FIXED_CHECKPOINT_COMMITS,
 };

@@ -52,7 +52,7 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
                 // asserted in debug builds, degraded to skipping the
                 // cache write in release builds.
                 if let Some(mem_access) = d.mem {
-                    let ready = self.mem.access(
+                    self.mem.access(
                         &mut self.net,
                         bank,
                         bank_cluster,
@@ -61,7 +61,6 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
                         self.now,
                         &mut self.stats,
                     );
-                    self.observer.on_cache_access(self.now, bank, true, ready);
                     let forward_slice = self.forward_slice(bank);
                     self.lsq[forward_slice].remove_store_data(mem_access.addr >> 3, d.seq);
                 } else {

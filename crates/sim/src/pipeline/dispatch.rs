@@ -3,7 +3,7 @@
 use super::{Processor, ABSENT, STORE_VALUE_SLOT};
 use crate::cluster::{Domain, FuGroup};
 use crate::config::{CacheModel, MAX_CLUSTERS};
-use crate::observe::{SimObserver, TransferKind};
+use crate::observe::SimObserver;
 use crate::steer::SteerRequest;
 use clustered_emu::TraceSource;
 use clustered_isa::{ArchReg, OpClass};
@@ -161,7 +161,6 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
         // All structural checks passed: consume the fetch-queue entry.
         self.fetch_queue.pop_front();
         self.stats.dispatched += 1;
-        self.observer.on_dispatch(self.now, d.seq, cluster);
         if decentralized && is_memref {
             // Train the bank predictor in program order and account
             // accuracy, now that this memref definitely dispatches.
@@ -316,7 +315,6 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
         let hops = self.net.distance(home, to);
         self.stats.reg_transfers += 1;
         self.stats.reg_transfer_hops += hops;
-        self.observer.on_transfer(self.now, TransferKind::Register, home, to, hops);
         self.domains[to].arch_avail[r] = arrival;
         arrival
     }

@@ -15,7 +15,7 @@
 use super::{Processor, ABSENT, STORE_VALUE_SLOT};
 use crate::cluster::FuGroup;
 use crate::config::CacheModel;
-use crate::observe::{SimObserver, TransferKind};
+use crate::observe::SimObserver;
 use clustered_emu::TraceSource;
 use clustered_isa::OpClass;
 use std::cmp::Reverse;
@@ -313,7 +313,6 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
             let hops = self.net.distance(from, to);
             self.stats.cache_transfers += 1;
             self.stats.cache_transfer_hops += hops;
-            self.observer.on_transfer(self.now, TransferKind::Cache, from, to, hops);
             self.net.transfer(from, to, earliest)
         }
     }
@@ -410,7 +409,6 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
             let hops = self.net.distance(from, to);
             self.stats.reg_transfers += 1;
             self.stats.reg_transfer_hops += hops;
-            self.observer.on_transfer(self.now, TransferKind::Register, from, to, hops);
             a
         };
         self.domains[to].value_copies[slot] = arrival;
@@ -569,19 +567,15 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
                 self.stats.lsq_forwards += 1;
                 avail.max(self.now) + 1
             }
-            None => {
-                let ready = self.mem.access(
-                    &mut self.net,
-                    bank,
-                    bank_cluster,
-                    mem_access.addr,
-                    false,
-                    self.now,
-                    &mut self.stats,
-                );
-                self.observer.on_cache_access(self.now, bank, false, ready);
-                ready
-            }
+            None => self.mem.access(
+                &mut self.net,
+                bank,
+                bank_cluster,
+                mem_access.addr,
+                false,
+                self.now,
+                &mut self.stats,
+            ),
         };
         // Data returns to the consuming cluster: from cluster 0 for the
         // centralized cache, from the bank's cluster otherwise.

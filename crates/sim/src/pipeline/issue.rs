@@ -63,7 +63,6 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
             let busy_until = if pipelined { self.now + 1 } else { self.now + lat };
             self.domains[c].sched.occupy(group, unit, busy_until);
             self.domains[c].iq_used[Domain::of(class).index()] -= 1;
-            self.observer.on_issue(self.now, seq, c);
             self.rob[idx].distant = head_seq.is_some_and(|h| seq - h >= DISTANT_DEPTH);
             // Train the criticality predictor with the operand that
             // arrived last.

@@ -353,27 +353,6 @@ pub struct Processor<T, O = NullObserver> {
     observer: O,
 }
 
-/// Occupancy of the machine's structures at one instant (see
-/// [`Processor::occupancy_snapshot`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OccupancySnapshot {
-    /// Re-order-buffer entries in flight.
-    pub rob: usize,
-    /// Fetch-queue entries waiting to dispatch.
-    pub fetch_queue: usize,
-    /// Clusters currently enabled; the per-cluster vectors below cover
-    /// exactly these.
-    pub active: usize,
-    /// Free physical registers per *active* cluster, `[int, fp]`.
-    pub free_regs: Vec<[usize; 2]>,
-    /// Issue-queue entries in use per *active* cluster, `[int, fp]`.
-    pub iq_used: Vec<[usize; 2]>,
-    /// Load/store-queue slots in use per slice. All slices are
-    /// reported — a slice beyond `active` should be empty, so a
-    /// non-zero count there is itself diagnostic.
-    pub lsq_used: Vec<usize>,
-}
-
 /// Rounds a requested cluster count to the nearest legal value: in
 /// `1..=total`, and — when `pow2` (the decentralized model, whose bank
 /// interleaving masks addresses) — a power of two, rounding down.
@@ -517,21 +496,6 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
         &self.cfg
     }
 
-    /// A snapshot of structure occupancies, for debugging and
-    /// introspection. The per-cluster vectors cover only the `active`
-    /// clusters — disabled clusters hold no instructions, and
-    /// reporting their idle resources made per-run counter dumps misleading.
-    pub fn occupancy_snapshot(&self) -> OccupancySnapshot {
-        OccupancySnapshot {
-            rob: self.rob.len(),
-            fetch_queue: self.fetch_queue.len(),
-            active: self.active,
-            free_regs: self.domains[..self.active].iter().map(|d| d.free_regs).collect(),
-            iq_used: self.domains[..self.active].iter().map(|d| d.iq_used).collect(),
-            lsq_used: self.lsq.iter().map(LsqSlice::occupancy).collect(),
-        }
-    }
-
     /// Whether the instruction source is exhausted and the pipeline
     /// has drained.
     pub fn finished(&self) -> bool {
@@ -596,7 +560,6 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
         self.stats.rob_occupancy_sum += self.rob.len() as u64;
         self.stats.active_cluster_cycles += self.active as u64;
         self.stats.cycles_at_config[self.active - 1] += 1;
-        self.observer.on_cycle(self.now, self.active, self.rob.len());
         mark(6);
         if O::WANTS_HOST_PROFILE {
             self.deliver_host_profile(&marks);

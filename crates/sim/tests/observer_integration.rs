@@ -1,10 +1,11 @@
-//! End-to-end checks that [`MetricsObserver`] sees the same machine
-//! the statistics counters describe, and that the observer seam —
-//! composed observers included — does not perturb simulation results.
+//! End-to-end checks that [`ReconfigLog`] sees the same
+//! reconfigurations the statistics counters describe, and that the
+//! observer seam — composed observers included — does not perturb
+//! simulation results.
 
 use clustered_sim::{
-    drive, AuditObserver, CacheModel, DecisionTrace, FixedPolicy, HostProfiler, MetricsObserver,
-    NullObserver, Processor, ReconfigPolicy, Run, SimConfig, SimObserver, SimStats, SteeringKind,
+    drive, AuditObserver, CacheModel, DecisionTrace, FixedPolicy, HostProfiler, NullObserver,
+    Processor, ReconfigLog, ReconfigPolicy, Run, SimConfig, SimObserver, SimStats, SteeringKind,
 };
 use clustered_workloads::by_name;
 
@@ -12,38 +13,15 @@ fn run_observed(
     cfg: SimConfig,
     policy: Box<dyn ReconfigPolicy>,
     instructions: u64,
-) -> (SimStats, MetricsObserver) {
+) -> (SimStats, ReconfigLog) {
     let w = by_name("gzip").expect("gzip workload exists");
     let stream = w.trace().map(Result::unwrap);
-    let mut cpu = Processor::with_observer(
-        cfg,
-        stream,
-        policy,
-        SteeringKind::default(),
-        MetricsObserver::new(1_000),
-    )
-    .expect("valid config");
+    let mut cpu =
+        Processor::with_observer(cfg, stream, policy, SteeringKind::default(), ReconfigLog::new())
+            .expect("valid config");
     let stats = cpu.run(instructions).expect("no stall");
     let observer = cpu.observer().clone();
     (stats, observer)
-}
-
-#[test]
-fn observer_counts_agree_with_stats() {
-    let (stats, m) = run_observed(SimConfig::default(), Box::new(FixedPolicy::new(4)), 30_000);
-    assert_eq!(m.committed(), stats.committed);
-    assert_eq!(m.dispatched(), stats.dispatched);
-    assert_eq!(m.last_cycle, stats.cycles);
-    assert_eq!(m.rob_occupancy.count(), stats.cycles, "one ROB sample per cycle");
-    assert_eq!(m.reg_transfer_hops.count(), stats.reg_transfers);
-    assert_eq!(m.reg_transfer_hops.sum(), stats.reg_transfer_hops);
-    assert_eq!(m.cache_transfer_hops.count(), stats.cache_transfers);
-    assert_eq!(m.cache_transfer_hops.sum(), stats.cache_transfer_hops);
-    // Every instruction issues at least once and loads/stores hit the
-    // cache unless forwarded.
-    assert!(m.issued() >= stats.committed);
-    assert!(m.cache_latency.count() > 0);
-    assert!(!m.timeline.is_empty(), "30k instructions span >1k cycles");
 }
 
 #[test]
@@ -115,8 +93,8 @@ fn observed_and_unobserved_runs_are_identical() {
         "the profiler resets when the measured window starts"
     );
 
-    let traced = drive_gzip((MetricsObserver::new(1_000), DecisionTrace::new()));
-    assert_eq!(plain.stats, traced.stats, "metrics + decisions must not perturb the run");
+    let traced = drive_gzip((ReconfigLog::new(), DecisionTrace::new()));
+    assert_eq!(plain.stats, traced.stats, "reconfig log + decisions must not perturb the run");
     let decided = drive_gzip(DecisionTrace::new());
     assert!(!decided.observer.decisions().is_empty(), "fixed-8 checkpoints every 10k commits");
     assert_eq!(traced.observer.1.decisions(), decided.observer.decisions());

@@ -16,20 +16,20 @@
 //! all — 0.2–1.5 bytes per record on the nine kernels (the private
 //! `packed` module defines the encoding). The sequence number is the
 //! record's position in the stream. The stream and the table are
-//! shared behind [`Arc`]s by every clone, every cheap [`TraceReplay`]
-//! iterator (each satisfies the simulator's `TraceSource` stream seam,
-//! as every `Iterator<Item = DynInst>` does) and every
-//! [`CompiledTrace`](crate::CompiledTrace) view. Replayed records are bit-identical to live emulation — pinned
-//! by the tests here and by the golden statistics test in
-//! `clustered-bench`.
+//! shared behind [`Arc`]s by every clone and every
+//! [`CompiledTrace`](crate::CompiledTrace) view.
 //!
-//! For the hot replay paths, [`CapturedTrace::compile`] hands out a
-//! view that decodes straight from the table — see the
-//! [`compiled`](crate::compiled) module.
+//! A capture is replayed through [`CapturedTrace::compile`], whose
+//! view decodes straight from the table into the simulator's
+//! `TraceSource` seam — see the [`compiled`](crate::compiled) module.
+//! Replayed records are bit-identical to live emulation — pinned by
+//! the tests here and by the golden statistics test in
+//! `clustered-bench`.
 //!
 //! # Examples
 //!
 //! ```
+//! use clustered_emu::TraceSource;
 //! use clustered_workloads::{by_name, CapturedTrace};
 //!
 //! let gzip = by_name("gzip").unwrap();
@@ -37,12 +37,13 @@
 //! assert_eq!(trace.len(), 10_000);
 //!
 //! // Two replays of one capture: zero re-emulation, identical streams.
-//! let a: Vec<_> = trace.replay().take(100).collect();
-//! let b: Vec<_> = trace.replay().take(100).collect();
-//! assert_eq!(a, b);
+//! let (mut a, mut b) = (trace.compile().replay(), trace.compile().replay());
+//! for _ in 0..100 {
+//!     assert_eq!(a.next_decoded(), b.next_decoded());
+//! }
 //! ```
 
-use crate::packed::{Cursor, PackedStream, Packer};
+use crate::packed::{PackedStream, Packer};
 use crate::Workload;
 use clustered_emu::{BranchKind, BranchOutcome, DynInst, EmuError, MemAccess};
 use clustered_isa::{ArchReg, Inst, OpClass, Program};
@@ -146,14 +147,13 @@ impl Record {
 /// A workload's dynamic instruction stream, emulated once and held in
 /// one packed byte stream shared behind [`Arc`].
 ///
-/// Cloning a `CapturedTrace` (or calling [`CapturedTrace::replay`] or
-/// [`CapturedTrace::compile`]) only bumps reference counts, so one
+/// Cloning a `CapturedTrace` (or calling [`CapturedTrace::compile`])
+/// only bumps reference counts, so one
 /// capture can feed every point of an experiment grid — including
 /// points running concurrently on other threads.
 #[derive(Debug, Clone)]
 pub struct CapturedTrace {
     pub(crate) name: String,
-    pub(crate) program: Arc<Program>,
     pub(crate) table: Arc<[StaticOp]>,
     pub(crate) stream: Arc<PackedStream>,
     pub(crate) ended_at_halt: bool,
@@ -233,7 +233,6 @@ impl CapturedTrace {
         }
         Ok(CapturedTrace {
             name: workload.name().to_string(),
-            program: Arc::new(workload.program().clone()),
             table,
             stream: Arc::new(packer.finish()),
             ended_at_halt,
@@ -244,11 +243,6 @@ impl CapturedTrace {
     /// The captured workload's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The program the records were captured from.
-    pub fn program(&self) -> &Program {
-        &self.program
     }
 
     /// Number of captured dynamic instructions.
@@ -288,17 +282,6 @@ impl CapturedTrace {
                 .iter(&self.table)
                 .fold(FNV_OFFSET, |hash, (r, op)| fnv1a(hash, &v1_record(&r, op)))
         })
-    }
-
-    /// A fresh iterator over the captured stream, starting at the
-    /// first record. Cheap: clones three `Arc`s.
-    pub fn replay(&self) -> TraceReplay {
-        TraceReplay {
-            program: Arc::clone(&self.program),
-            table: Arc::clone(&self.table),
-            stream: Arc::clone(&self.stream),
-            at: self.stream.start(),
-        }
     }
 }
 
@@ -352,50 +335,11 @@ fn v1_record(r: &Record, op: &StaticOp) -> [u8; 18] {
     out
 }
 
-/// A cheap cloneable iterator replaying a [`CapturedTrace`] as
-/// [`DynInst`] records bit-identical to live emulation.
-#[derive(Debug, Clone)]
-pub struct TraceReplay {
-    program: Arc<Program>,
-    table: Arc<[StaticOp]>,
-    stream: Arc<PackedStream>,
-    at: Cursor,
-}
-
-impl TraceReplay {
-    /// Records remaining to be replayed.
-    pub fn remaining(&self) -> usize {
-        self.stream.len() - self.at.pos()
-    }
-}
-
-impl Iterator for TraceReplay {
-    type Item = DynInst;
-
-    fn next(&mut self) -> Option<DynInst> {
-        let seq = self.at.pos() as u64;
-        let (r, op) = self.at.next(&self.stream, &self.table)?;
-        Some(DynInst {
-            seq,
-            pc: r.pc,
-            inst: self.program.text()[r.pc as usize],
-            mem: r.mem(op),
-            branch: r.branch(op),
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.remaining();
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for TraceReplay {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{by_name, PaperProfile, WorkloadClass};
+    use clustered_emu::{DecodedInst, TraceSource};
 
     fn profile() -> PaperProfile {
         PaperProfile {
@@ -445,6 +389,17 @@ mod tests {
         }
     }
 
+    /// Live emulation of `w`, decoded as the simulator sees it.
+    fn live(w: &Workload, records: usize) -> Vec<DecodedInst> {
+        w.trace().take(records).map(|d| DecodedInst::from_dyn(&d.unwrap())).collect()
+    }
+
+    /// Every record of `captured`, replayed through its compiled view.
+    fn replayed(captured: &CapturedTrace) -> Vec<DecodedInst> {
+        let mut src = captured.compile().replay();
+        std::iter::from_fn(|| src.next_decoded()).collect()
+    }
+
     /// The core guarantee: replayed records equal live emulation
     /// bit-for-bit, covering ALU, memory, and branch records.
     #[test]
@@ -454,9 +409,7 @@ mod tests {
             let captured = CapturedTrace::capture(&w, 5_000);
             assert_eq!(captured.len(), 5_000);
             assert!(!captured.ended_at_halt());
-            let live: Vec<DynInst> = w.trace().take(5_000).map(Result::unwrap).collect();
-            let replayed: Vec<DynInst> = captured.replay().collect();
-            assert_eq!(live, replayed, "{name}: replay diverged from live emulation");
+            assert_eq!(live(&w, 5_000), replayed(&captured), "{name}: replay diverged");
         }
     }
 
@@ -464,12 +417,14 @@ mod tests {
     fn replays_are_independent_and_cheap() {
         let w = by_name("gzip").unwrap();
         let captured = CapturedTrace::capture(&w, 1_000);
-        let mut a = captured.replay();
-        let mut b = captured.replay();
-        a.nth(499);
+        let mut a = captured.compile().replay();
+        let mut b = captured.compile().replay();
+        for _ in 0..500 {
+            a.next_decoded();
+        }
         assert_eq!(a.remaining(), 500);
         assert_eq!(b.remaining(), 1_000);
-        assert_eq!(b.next().unwrap().seq, 0, "clone must start at the beginning");
+        assert_eq!(b.next_decoded().unwrap().seq, 0, "a replay must start at the beginning");
         assert_eq!(captured.buffer_bytes(), captured.stream.bytes.len());
         assert!((1..=2 * 1_000).contains(&captured.buffer_bytes()), "packed size out of range");
     }
@@ -486,20 +441,6 @@ mod tests {
         }
     }
 
-    /// `nth` (the default advance-by-`next`) lands on the same record
-    /// as stepping by hand — including past the end.
-    #[test]
-    fn nth_matches_sequential_replay() {
-        let w = by_name("gzip").unwrap();
-        let captured = CapturedTrace::capture(&w, 1_000);
-        let mut fast = captured.replay();
-        let mut slow = captured.replay();
-        assert_eq!(fast.nth(123), (0..124).map(|_| slow.next()).last().unwrap());
-        assert_eq!(fast.remaining(), slow.remaining());
-        assert_eq!(captured.replay().nth(1_000), None, "nth past the end");
-        assert_eq!(captured.replay().nth(999).unwrap().seq, 999);
-    }
-
     #[test]
     fn halting_program_captures_completely() {
         let w = Workload::from_source(
@@ -514,9 +455,7 @@ mod tests {
         assert_eq!(captured.len(), 9); // li + 4 × (addi + bnez)
         let bytes = &captured.stream.bytes;
         assert_eq!(bytes.capacity(), bytes.len(), "early halt must not keep the reservation");
-        let live: Vec<DynInst> = w.trace().map(Result::unwrap).collect();
-        let replayed: Vec<DynInst> = captured.replay().collect();
-        assert_eq!(live, replayed);
+        assert_eq!(live(&w, usize::MAX), replayed(&captured));
     }
 
     /// A program that faults inside the window is an error from the

@@ -1,12 +1,13 @@
 //! Compiled trace replay: the captured records decoded through the
 //! per-slot static micro-op table, with no per-record re-decoding.
 //!
-//! [`TraceReplay`](crate::TraceReplay) hands out [`DynInst`](clustered_emu::DynInst)s
-//! carrying the static [`Inst`](clustered_isa::Inst), from which the
-//! simulator's dispatch stage would re-derive the op class,
-//! source/destination registers, and domain per instruction — all of
-//! which are static per PC. A [`CompiledTrace`] serves
-//! [`DecodedInst`]s straight from the capture's two shared buffers:
+//! This is the one way a capture is replayed. Live emulation hands out
+//! [`DynInst`](clustered_emu::DynInst)s carrying the static
+//! [`Inst`](clustered_isa::Inst), from which the simulator re-derives
+//! the op class, source/destination registers, and domain per
+//! instruction — all of which are static per PC. A [`CompiledTrace`]
+//! serves [`DecodedInst`]s straight from the capture's two shared
+//! buffers:
 //!
 //! 1. **Static micro-op table** — one `StaticOp` per program slot
 //!    holding the decoded facts (class, sources, dest, the static
@@ -27,11 +28,10 @@
 //! whose table entry is a control transfer, so the fetch stage still
 //! gets whole basic blocks per call.
 //!
-//! The decoded stream is bit-identical to [`TraceReplay`](crate::TraceReplay) and to live
-//! emulation (pinned by the tests here and by
-//! `tests/compiled_replay.rs` for all nine kernels), so the shard
-//! oracle — which fixes the *schedule*, a function of the decoded
-//! stream alone — applies to the compiled path unchanged.
+//! The decoded stream is bit-identical to live emulation (pinned by the
+//! capture tests and by `tests/compiled_replay.rs` for all nine
+//! kernels), and the shard oracle — which fixes the *schedule*, a
+//! function of the decoded stream alone — runs on this path.
 
 use crate::capture::{CapturedTrace, StaticOp};
 use crate::packed::{Cursor, PackedStream};
@@ -163,22 +163,6 @@ mod tests {
             v.push(d);
         }
         v
-    }
-
-    /// The compiled stream equals decode-on-the-fly replay bit for bit
-    /// (the all-nine-kernels pin, including live emulation, lives in
-    /// `tests/compiled_replay.rs`).
-    #[test]
-    fn compiled_stream_matches_replay_decode() {
-        for name in ["gzip", "swim", "crafty"] {
-            let w = by_name(name).unwrap();
-            let captured = CapturedTrace::capture(&w, 5_000);
-            let compiled = captured.compile();
-            assert_eq!(compiled.len(), captured.len());
-            let via_replay = drain(captured.replay());
-            let via_table = drain(compiled.replay());
-            assert_eq!(via_table, via_replay, "{name}: compiled stream diverged");
-        }
     }
 
     /// Compiling copies nothing: the capture, its clones, and every

@@ -40,7 +40,7 @@ mod packed;
 mod profile;
 pub mod synthetic;
 
-pub use capture::{CapturedTrace, TraceReplay, CAPTURE_MARGIN};
+pub use capture::{CapturedTrace, CAPTURE_MARGIN};
 pub use compiled::{CompiledReplay, CompiledTrace};
 pub use profile::{PaperProfile, WorkloadClass};
 

@@ -18,9 +18,9 @@ use clustered::policies::{
 };
 use clustered::sim::{
     drive, estimate_energy, AuditObserver, CacheModel, DecisionReason, DecisionRecord,
-    DecisionTrace, EnergyParams, FixedPolicy, HostProfiler, HostStage, MetricsObserver,
-    NullObserver, PolicyState, ReconfigPolicy, SimConfig, SteeringKind, Topology,
-    DEFAULT_EVENT_CAP, DEFAULT_SAMPLE_INTERVAL,
+    DecisionTrace, EnergyParams, FixedPolicy, HostProfiler, HostStage, NullObserver, PolicyState,
+    ReconfigLog, ReconfigPolicy, SimConfig, SteeringKind, Topology, DEFAULT_EVENT_CAP,
+    DEFAULT_SAMPLE_INTERVAL,
 };
 use clustered::stats::{
     append_entry, diff_docs, envelope, read_ledger, Json, LedgerEntry, LedgerReport, Provenance,
@@ -474,20 +474,20 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let (policy, timeline) = Recording::new(policy, interval);
     let captured = capture(&flags, warmup, instructions)?;
     let stream = captured.compile().replay();
-    let observer = (MetricsObserver::new(interval), DecisionTrace::new());
+    let observer = (ReconfigLog::new(), DecisionTrace::new());
     let (policy, steering) = (Box::new(policy), SteeringKind::default());
     let run = drive(cfg, stream, policy, steering, observer, 0, warmup + instructions)
         .map_err(|e| e.to_string())?;
-    let (s, (metrics, decisions)) = (run.stats, run.observer);
+    let (s, (log, decisions)) = (run.stats, run.observer);
 
-    let (dropped_reconfigs, dropped_decisions) = (metrics.dropped_reconfigs(), decisions.dropped());
+    let (dropped_reconfigs, dropped_decisions) = (log.dropped_reconfigs(), decisions.dropped());
     if dropped_reconfigs + dropped_decisions > 0 {
         println!(
-            "warning: the metrics observer dropped {dropped_reconfigs} reconfiguration and \
-             {dropped_decisions} decision records past its event cap; the trace is truncated"
+            "warning: {dropped_reconfigs} reconfiguration and {dropped_decisions} decision \
+             records were dropped past the event cap; the trace is truncated"
         );
     }
-    let trace = chrome_trace(&metrics, decisions.decisions());
+    let trace = chrome_trace(&log, decisions.decisions(), &s);
     let events = trace.as_arr().map_or(0, <[Json]>::len);
     std::fs::write(out_path, trace.to_string_pretty())
         .map_err(|e| format!("cannot write `{out_path}`: {e}"))?;

@@ -58,7 +58,7 @@ fn run_audited(
 ) -> (SimStats, AuditObserver) {
     let mut cpu = Processor::with_observer(
         cfg,
-        trace.replay(),
+        trace.compile().replay(),
         policy,
         SteeringKind::default(),
         AuditObserver::new(),
@@ -73,7 +73,8 @@ fn run_audited(
 }
 
 fn run_plain(trace: &CapturedTrace, cfg: SimConfig, policy: Box<dyn ReconfigPolicy>) -> SimStats {
-    let mut cpu = Processor::new(cfg, trace.replay(), policy).expect("valid matrix config");
+    let mut cpu =
+        Processor::new(cfg, trace.compile().replay(), policy).expect("valid matrix config");
     cpu.run(WARMUP).expect("no stall in warm-up");
     let before = *cpu.stats();
     cpu.run(MEASURE).expect("no stall");
@@ -136,7 +137,7 @@ fn injected_fetch_skew_is_caught_on_a_real_run() {
     let trace = CapturedTrace::for_window(&w, WARMUP, MEASURE);
     let mut cpu = Processor::with_observer(
         SimConfig::default(),
-        trace.replay(),
+        trace.compile().replay(),
         Box::new(FixedPolicy::new(4)),
         SteeringKind::default(),
         AuditObserver::new(),

@@ -1,9 +1,9 @@
 //! Compiled-replay equivalence suite: a [`CompiledTrace`] is a
 //! pre-decoded view of a [`CapturedTrace`], so its decoded stream must be
-//! bit-identical to decode-on-the-fly replay and to live emulation for
-//! every kernel, its runs must honour the `TraceSource` run contract,
-//! and a simulator fed the compiled form must compute the same
-//! statistics as one fed the plain replay.
+//! bit-identical to live emulation for every kernel, its runs must
+//! honour the `TraceSource` run contract, and a simulator fed the
+//! compiled form must compute the same statistics as one fed live
+//! emulation.
 //!
 //! Together with `tests/shard_equivalence.rs` (whose oracle pins the
 //! schedule the pipeline computes from the decoded stream), this makes
@@ -24,23 +24,20 @@ fn drain(mut src: impl TraceSource) -> Vec<DecodedInst> {
     out
 }
 
-/// The satellite pin: for all nine kernels, the compiled stream equals
-/// plain trace replay equals live emulation, record for record.
+/// For all nine kernels, the compiled stream equals live emulation,
+/// record for record.
 #[test]
 fn compiled_stream_matches_replay_and_live_for_all_nine_kernels() {
     for w in clustered_workloads::all() {
         let captured = CapturedTrace::capture(&w, RECORDS);
-        let compiled = captured.compile();
         let live = drain(w.trace().take(captured.len()).map(Result::unwrap));
-        let replayed = drain(captured.replay());
-        let from_table = drain(compiled.replay());
-        assert_eq!(replayed, live, "{}: replay diverged from live emulation", w.name());
+        let from_table = drain(captured.compile().replay());
         assert_eq!(from_table, live, "{}: compiled stream diverged from live", w.name());
     }
 }
 
 /// The run contract, for all nine kernels at fetch budgets 1..=8:
-/// `next_run` output stitched together is the plain replay stream,
+/// `next_run` output stitched together is the whole decoded stream,
 /// every run body is branch-free, and every run ends at a control
 /// transfer, at the budget, or at the trace tail. With an unbounded
 /// budget the runs are exactly the basic blocks `block_count` counts.
@@ -49,7 +46,7 @@ fn next_run_honours_the_run_contract_for_all_nine_kernels() {
     for w in clustered_workloads::all() {
         let captured = CapturedTrace::capture(&w, RECORDS);
         let compiled = captured.compile();
-        let plain = drain(captured.replay());
+        let whole = drain(compiled.replay());
         assert_eq!(compiled.table_len(), w.program().text().len());
         for budget in (1..=8).chain([usize::MAX]) {
             let mut src = compiled.replay();
@@ -75,7 +72,12 @@ fn next_run_honours_the_run_contract_for_all_nine_kernels() {
                 );
                 stitched.extend_from_slice(&run);
             }
-            assert_eq!(stitched, plain, "{} budget {budget}: runs diverged from replay", w.name());
+            assert_eq!(
+                stitched,
+                whole,
+                "{} budget {budget}: runs diverged from the stream",
+                w.name()
+            );
             if budget == usize::MAX {
                 assert_eq!(runs, compiled.block_count(), "{}: block count", w.name());
             }
@@ -84,7 +86,7 @@ fn next_run_honours_the_run_contract_for_all_nine_kernels() {
 }
 
 /// Feeding the simulator the compiled form computes bit-identical
-/// statistics to feeding it the plain replay, across both cache
+/// statistics to feeding it live emulation, across both cache
 /// models, fixed and adaptive policies, and narrow/wide cluster
 /// counts (a sample of the shard-oracle matrix; the full 360-point
 /// oracle pin in `tests/shard_equivalence.rs` covers the pipeline
@@ -107,22 +109,22 @@ fn simulator_stats_identical_on_compiled_and_plain_replay() {
             for (pname, policy) in policies {
                 let mut cfg = SimConfig::default();
                 cfg.cache.model = model;
-                let mut via_replay =
-                    Processor::new(cfg, trace.replay(), policy()).expect("valid config");
+                let live = w.trace().map(Result::unwrap);
+                let mut via_live = Processor::new(cfg, live, policy()).expect("valid config");
                 let mut via_compiled =
                     Processor::new(cfg, compiled.replay(), policy()).expect("valid config");
-                via_replay.run(WARMUP).expect("warmup");
+                via_live.run(WARMUP).expect("warmup");
                 via_compiled.run(WARMUP).expect("warmup");
-                let a0 = *via_replay.stats();
+                let a0 = *via_live.stats();
                 let b0 = *via_compiled.stats();
-                via_replay.run(MEASURE).expect("measure");
+                via_live.run(MEASURE).expect("measure");
                 via_compiled.run(MEASURE).expect("measure");
-                let a = via_replay.stats().delta_since(&a0);
+                let a = via_live.stats().delta_since(&a0);
                 let b = via_compiled.stats().delta_since(&b0);
                 assert_eq!(
                     a.to_json().to_string_compact(),
                     b.to_json().to_string_compact(),
-                    "{name}/{model:?}/{pname}: compiled path diverged from plain replay"
+                    "{name}/{model:?}/{pname}: compiled path diverged from live emulation"
                 );
             }
         }

@@ -4,8 +4,8 @@
 //! decision — update the list below *and* the schema documented in
 //! EXPERIMENTS.md together.
 
-use clustered::policies::{chrome_trace, IntervalExplore};
-use clustered::sim::{MetricsObserver, Processor, SimConfig, SimStats, SteeringKind};
+use clustered::policies::{chrome_trace, decisions_jsonl, IntervalExplore};
+use clustered::sim::{DecisionTrace, Processor, ReconfigLog, SimConfig, SimStats, SteeringKind};
 use clustered::stats::Json;
 
 /// Every key `SimStats::to_json` must emit, in order.
@@ -122,7 +122,7 @@ fn observed_explore_run_exports_all_three_documents() {
         stream,
         Box::new(IntervalExplore::default()),
         SteeringKind::default(),
-        MetricsObserver::new(1_000),
+        (ReconfigLog::new(), DecisionTrace::new()),
     )
     .expect("valid config");
     let stats = cpu.run(40_000).expect("no stall");
@@ -132,15 +132,22 @@ fn observed_explore_run_exports_all_three_documents() {
         clustered::stats::json::parse(&stats.to_json().to_string_pretty()).expect("valid JSON");
     assert_eq!(stats_doc.keys().expect("object"), STATS_KEYS);
 
-    // Observer document: histograms populated by a real run.
-    let m = cpu.observer();
-    let observer_doc = m.to_json();
-    let rob = observer_doc.get("rob_occupancy").expect("rob histogram");
-    assert_eq!(rob.get("count").and_then(Json::as_f64), Some(stats.cycles as f64));
+    // Decision records: one parseable JSON line per interval the
+    // explore policy evaluated.
+    let (log, trace) = cpu.observer();
+    let decisions = trace.decisions();
+    assert!(!decisions.is_empty(), "explore decides every interval");
+    let jsonl = decisions_jsonl(decisions);
+    assert_eq!(jsonl.lines().count(), decisions.len());
+    for (line, d) in jsonl.lines().zip(decisions) {
+        let doc = clustered::stats::json::parse(line).expect("valid JSON line");
+        assert_eq!(doc.get("cycle").and_then(Json::as_u64), Some(d.cycle));
+        assert!(d.cycle <= stats.cycles, "decision past the run's end");
+    }
 
     // Chrome trace: events for every configuration the explore policy
     // visited, totals consistent with the statistics.
-    let trace = chrome_trace(m, &[]);
+    let trace = chrome_trace(log, decisions, &stats);
     let events = trace.as_arr().expect("array");
     let spans: Vec<&Json> =
         events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("X")).collect();
@@ -150,4 +157,7 @@ fn observed_explore_run_exports_all_three_documents() {
     assert_eq!(spans.len() as u64, stats.reconfigurations + 1, "one span per configuration era");
     let span_cycles: f64 = spans.iter().filter_map(|e| e.get("dur").and_then(Json::as_f64)).sum();
     assert_eq!(span_cycles, stats.cycles as f64, "spans tile the whole run");
+    let counters =
+        events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("C")).count();
+    assert_eq!(counters, 3 * decisions.len(), "three counter samples per decision");
 }

@@ -3,7 +3,9 @@
 //! skipping, the backend's data structures — must leave measured
 //! [`SimStats`] bit-identical. This suite runs the full workload ×
 //! cluster-count × policy-family × cache-model matrix and pins every
-//! counter against `tests/shard_oracle.json`. The names come from the
+//! counter against `tests/shard_oracle.json`. Every point replays the
+//! capture's compiled view, the path every CLI verb, experiment and
+//! sweep point runs. The names come from the
 //! oracle's first use: it was captured before the event queue was
 //! split into per-cluster shards, and it pinned both that split and
 //! its later removal (one machine-wide calendar) unchanged.
@@ -77,7 +79,8 @@ fn point(model: CacheModel, family: &str, n: usize) -> (SimConfig, Box<dyn Recon
 }
 
 fn run_point(trace: &CapturedTrace, cfg: SimConfig, policy: Box<dyn ReconfigPolicy>) -> SimStats {
-    let mut cpu = Processor::new(cfg, trace.replay(), policy).expect("valid matrix config");
+    let mut cpu =
+        Processor::new(cfg, trace.compile().replay(), policy).expect("valid matrix config");
     cpu.run(WARMUP).expect("no stall in warm-up");
     let before = *cpu.stats();
     cpu.run(MEASURE).expect("no stall");
