@@ -20,18 +20,16 @@
 //! assert!(report.text.starts_with("Table 1"));
 //! ```
 
-use crate::sweep::{jobs, run_point_as, run_sweep_with, SweepOutcome, SweepPoint};
+use crate::sweep::{jobs, run_point, run_point_as, run_sweep_with, SweepOutcome, SweepPoint};
 use crate::{DEFAULT_MEASURE, DEFAULT_WARMUP};
-use clustered_core::phase::{
-    instability_factor, minimum_stable_interval, IntervalRecord, StabilityThresholds,
-};
+use clustered_core::phase::{instability_factor, minimum_stable_interval, IntervalRecord};
 use clustered_core::{
-    FineGrain, IntervalDistantIlp, IntervalDistantIlpConfig, IntervalExplore,
-    IntervalExploreConfig, Recording,
+    decisions_document, FineGrain, IntervalDistantIlp, IntervalDistantIlpConfig, IntervalExplore,
+    IntervalExploreConfig, Timeline,
 };
 use clustered_sim::{
     estimate_energy, CacheModel, DecisionRecord, DecisionTrace, EnergyParams, FixedPolicy,
-    NullObserver, ReconfigPolicy, SimConfig, SimStats, SteeringKind, Topology,
+    ReconfigPolicy, SimConfig, SimStats, SteeringKind, Topology,
 };
 use clustered_stats::{geometric_mean, percent_change, Json, Provenance, Table};
 use clustered_workloads::{CapturedTrace, NAMES};
@@ -138,9 +136,8 @@ pub struct Experiment {
     pub points: fn(Window) -> Vec<SweepPoint>,
     /// Renders the results, one per point, in point order.
     pub render: fn(Window, &[PointResult]) -> Report,
-    /// When set, each point's policy runs wrapped in a [`Recording`]
-    /// with this base interval, and the records come back in
-    /// [`PointResult::intervals`].
+    /// When set, a [`Timeline`] with this base interval watches each
+    /// point, and its records come back in [`PointResult::intervals`].
     pub record_interval: Option<u64>,
 }
 
@@ -179,10 +176,8 @@ impl Experiment {
     }
 }
 
-/// Writes one point's decision trace to `<dir>/<sanitized label>.jsonl`.
-/// The stream opens with one header line carrying the run's provenance,
-/// discriminated from the [`DecisionRecord::to_json`] lines after it by
-/// its `event` key (both documented in EXPERIMENTS.md).
+/// Writes one point's [`decisions_document`] to
+/// `<dir>/<sanitized label>.jsonl`.
 fn write_decisions(
     dir: &Path,
     label: &str,
@@ -190,9 +185,7 @@ fn write_decisions(
     decisions: &[DecisionRecord],
 ) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    let header = Json::object().set("event", "provenance").set("provenance", provenance.to_json());
-    let text =
-        format!("{}\n{}", header.to_string_compact(), clustered_core::decisions_jsonl(decisions));
+    let text = decisions_document(provenance, decisions);
     std::fs::write(dir.join(format!("{}.jsonl", sanitize_label(label))), text)
 }
 
@@ -206,23 +199,23 @@ fn sanitize_label(label: &str) -> String {
 }
 
 fn run_one(point: &SweepPoint, record_interval: Option<u64>, decisions: bool) -> PointResult {
-    // The timeline is an `Rc`, so the recording wrapper is built here,
-    // on the worker, and only its `Send` records leave it.
-    let (policy, timeline): (Box<dyn ReconfigPolicy>, _) = match record_interval {
-        Some(base) => {
-            let (recording, timeline) = Recording::new((point.policy)(), base);
-            (Box::new(recording), Some(timeline))
+    let timeline = |base| Timeline::new(base, (point.policy)().initial_clusters());
+    let (stats, intervals, decisions) = match (record_interval, decisions) {
+        (None, false) => (run_point(point), Vec::new(), Vec::new()),
+        (None, true) => {
+            let run = run_point_as(point, DecisionTrace::new());
+            (run.stats, Vec::new(), run.observer.into_decisions().0)
         }
-        None => ((point.policy)(), None),
+        (Some(base), false) => {
+            let run = run_point_as(point, timeline(base));
+            (run.stats, run.observer.records(), Vec::new())
+        }
+        (Some(base), true) => {
+            let run = run_point_as(point, (DecisionTrace::new(), timeline(base)));
+            let (decisions, timeline) = run.observer;
+            (run.stats, timeline.records(), decisions.into_decisions().0)
+        }
     };
-    let (stats, decisions) = if decisions {
-        let run = run_point_as(point, policy, DecisionTrace::new());
-        (run.stats, run.observer.into_decisions().0)
-    } else {
-        (run_point_as(point, policy, NullObserver).stats, Vec::new())
-    };
-    let intervals =
-        timeline.map(|t| t.borrow().iter().map(|e| e.record).collect()).unwrap_or_default();
     PointResult { stats, intervals, decisions }
 }
 
@@ -699,9 +692,9 @@ fn table4_points(window: Window) -> Vec<SweepPoint> {
 /// The "min acceptable interval" and "its instability" cells. When no
 /// tested length gets under the bar the interval reads `>coarsest`:
 /// the factor shown is the coarsest length's, which did not qualify.
-fn min_interval_cells(records: &[IntervalRecord], thresholds: &StabilityThresholds) -> [String; 2] {
+fn min_interval_cells(records: &[IntervalRecord]) -> [String; 2] {
     let (length, factor) =
-        minimum_stable_interval(records, thresholds, TABLE4_ACCEPTABLE).unwrap_or((0, f64::NAN));
+        minimum_stable_interval(records, TABLE4_ACCEPTABLE).unwrap_or((0, f64::NAN));
     let length =
         if factor >= TABLE4_ACCEPTABLE { format!(">{length}") } else { length.to_string() };
     [length, format!("{factor:.0}%")]
@@ -712,7 +705,6 @@ fn table4(window: Window, runs: &[PointResult]) -> Report {
     outln!(text, "Table 4: instability factors for different interval lengths");
     outln!(text, "(16 clusters, centralized cache; base interval {TABLE4_BASE_INTERVAL}, ");
     outln!(text, " {} measured instructions)\n", window.measure);
-    let thresholds = StabilityThresholds::default();
     let mut table = Table::new(&[
         "benchmark",
         "min acceptable interval",
@@ -724,8 +716,8 @@ fn table4(window: Window, runs: &[PointResult]) -> Report {
     let skip = (window.warmup / TABLE4_BASE_INTERVAL) as usize;
     for (w, run) in clustered_workloads::all().iter().zip(runs) {
         let records = &run.intervals[skip.min(run.intervals.len())..];
-        let base_factor = instability_factor(records, 1, &thresholds).unwrap_or(f64::NAN);
-        let [min_len, min_factor] = min_interval_cells(records, &thresholds);
+        let base_factor = instability_factor(records, 1).unwrap_or(f64::NAN);
+        let [min_len, min_factor] = min_interval_cells(records);
         let paper = w.paper();
         table.row(&[
             w.name().to_string(),
@@ -1416,15 +1408,14 @@ mod tests {
     /// otherwise the row says none did and still shows the factor.
     #[test]
     fn table4_row_says_when_no_interval_qualifies() {
-        let thresholds = StabilityThresholds::default();
         // IPC halves every interval, so every grouping is unstable and
         // the coarsest tested length (4 × 1000) fails too.
         let slowing: Vec<u64> = (0..8).map(|i| 1_000 << i).collect();
-        let [length, factor] = min_interval_cells(&records(&slowing), &thresholds);
+        let [length, factor] = min_interval_cells(&records(&slowing));
         assert_eq!(length, ">4000");
         assert_eq!(factor, "100%");
         let steady = records(&[1_000; 8]);
-        assert_eq!(min_interval_cells(&steady, &thresholds), ["1000".to_string(), "0%".into()]);
+        assert_eq!(min_interval_cells(&steady), ["1000".to_string(), "0%".into()]);
     }
 
     #[test]

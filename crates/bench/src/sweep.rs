@@ -15,6 +15,13 @@
 //!    to a serial run — each point's simulation is fully isolated, and
 //!    `tests/sweep.rs` pins the equivalence.
 //!
+//! [`run_point`] returns a point's statistics; [`run_point_as`] also
+//! attaches an observer, built on the worker that runs the point, and
+//! returns it in the [`Run`]: Table 4 reads a
+//! [`Timeline`](clustered_core::Timeline)'s interval records, and
+//! `experiments --decisions` a
+//! [`DecisionTrace`](clustered_sim::DecisionTrace).
+//!
 //! The `experiments` binary's worker count defaults to the host's
 //! available parallelism; `CLUSTERED_JOBS=n` overrides it
 //! (`CLUSTERED_JOBS=1` forces the serial path), and any other value is
@@ -178,28 +185,23 @@ pub fn jobs(value: Option<&str>) -> Result<usize, String> {
 /// or on the configuration/stall conditions of
 /// [`run_experiment`](crate::run_experiment).
 pub fn run_point(point: &SweepPoint) -> SimStats {
-    run_point_as(point, (point.policy)(), NullObserver).stats
+    run_point_as(point, NullObserver).stats
 }
 
-/// [`run_point`] under a caller-built `policy` instead of one from the
-/// point's factory, with an `observer` watching the run: e.g. a
-/// [`Recording`](clustered_core::Recording) of the point's own policy,
-/// which cannot cross threads and so is built on the worker that runs
-/// it, or a [`DecisionTrace`](clustered_sim::DecisionTrace) for the
-/// `experiments --decisions` dumps.
+/// [`run_point`] with an `observer` watching the run: e.g. a
+/// [`Timeline`](clustered_core::Timeline) for Table 4's interval
+/// records, or a [`DecisionTrace`](clustered_sim::DecisionTrace) for
+/// the `experiments --decisions` dumps. The observer is built on the
+/// worker that runs the point and comes back in the [`Run`].
 ///
 /// # Panics
 ///
 /// As for [`run_point`].
-pub fn run_point_as<O: SimObserver>(
-    point: &SweepPoint,
-    policy: Box<dyn ReconfigPolicy>,
-    observer: O,
-) -> Run<O> {
+pub fn run_point_as<O: SimObserver>(point: &SweepPoint, observer: O) -> Run<O> {
     let run = drive(
         point.cfg,
         point.compiled.replay(),
-        policy,
+        (point.policy)(),
         point.steering,
         observer,
         point.warmup,

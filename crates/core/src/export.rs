@@ -1,10 +1,10 @@
-//! Machine-readable exporters: per-interval JSONL timelines and
-//! Chrome-trace (Perfetto-loadable) files.
+//! Machine-readable exporters: per-interval JSONL timelines, decision
+//! documents and Chrome-trace (Perfetto-loadable) files.
 //!
-//! Two complementary views of a run:
+//! Views of a run:
 //!
-//! * [`timeline_jsonl`] renders the [`Recording`](crate::Recording)
-//!   wrapper's per-interval [`TimelineEntry`] buffer as JSON Lines —
+//! * [`timeline_jsonl`] renders a [`Timeline`](crate::Timeline)
+//!   observer's per-interval [`TimelineEntry`] list as JSON Lines —
 //!   one self-contained object per interval, the natural input for
 //!   plotting IPC against the policy's cluster decisions.
 //! * [`chrome_trace`] renders a [`ReconfigLog`]'s event log in
@@ -18,16 +18,16 @@
 //!   <https://ui.perfetto.dev> to see the communication-parallelism
 //!   trade-off play out over time.
 //! * [`decisions_jsonl`] renders a run's [`DecisionRecord`] stream as
-//!   JSON Lines — the schema `clustered explain --decisions` and the
-//!   experiment binaries' `--decisions` flags write (documented in
-//!   EXPERIMENTS.md).
+//!   JSON Lines, and [`decisions_document`] puts the run's provenance
+//!   line in front of it: the file `clustered explain --decisions` and
+//!   `experiments --decisions` write (documented in EXPERIMENTS.md).
 //!
 //! Trace timestamps are **simulated cycles** presented as the format's
 //! microseconds: one trace "µs" is one cycle.
 
-use crate::recording::TimelineEntry;
+use crate::phase::TimelineEntry;
 use clustered_sim::{DecisionRecord, HostProfiler, HostStage, ReconfigLog, SimStats};
-use clustered_stats::Json;
+use clustered_stats::{Json, Provenance};
 
 /// Trace thread-id base for the host-profile stage tracks: stage `i`
 /// renders on tid `HOST_TID_BASE + i`, clear of the guest tracks
@@ -65,6 +65,14 @@ pub fn decisions_jsonl(decisions: &[DecisionRecord]) -> String {
         out.push('\n');
     }
     out
+}
+
+/// The decisions document of one run: a header line carrying the
+/// run's `provenance`, told apart from the [`decisions_jsonl`] lines
+/// after it by its `event` key.
+pub fn decisions_document(provenance: &Provenance, decisions: &[DecisionRecord]) -> String {
+    let header = Json::object().set("event", "provenance").set("provenance", provenance.to_json());
+    format!("{}\n{}", header.to_string_compact(), decisions_jsonl(decisions))
 }
 
 fn duration_event(name: String, ts: u64, dur: u64, tid: u64, args: Json) -> Json {
@@ -438,6 +446,35 @@ mod tests {
         assert_eq!(second.get("branch_delta").and_then(Json::as_f64), Some(-5.0));
         assert_eq!(second.get("clusters").and_then(Json::as_u64), Some(8));
         assert!(decisions_jsonl(&[]).is_empty());
+    }
+
+    #[test]
+    fn decisions_document_opens_with_the_provenance_line() {
+        use clustered_sim::{DecisionReason, DecisionRecord, PolicyState};
+        let record = DecisionRecord {
+            interval: 1,
+            commit: 10_000,
+            start_cycle: 0,
+            cycle: 20_000,
+            state: PolicyState::Stable,
+            ipc: 0.5,
+            branch_delta: 0,
+            memref_delta: 0,
+            instability: 0.0,
+            explored_ipc: Vec::new(),
+            interval_length: 10_000,
+            clusters: 4,
+            reason: DecisionReason::FixedBaseline,
+        };
+        let prov = Provenance::new("gzip", Some(7), 11, "fixed-4");
+        let text = decisions_document(&prov, std::slice::from_ref(&record));
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2);
+        let header = json::parse(lines[0]).expect("valid JSON line");
+        assert_eq!(header.get("event").and_then(Json::as_str), Some("provenance"));
+        assert_eq!(header.get("provenance"), Some(&prov.to_json()));
+        assert_eq!(lines[1], record.to_json().to_string_compact());
+        assert_eq!(decisions_document(&prov, &[]).lines().count(), 1);
     }
 
     /// Drives a [`HostProfiler`] by hand through two 10-cycle slices.

@@ -19,7 +19,10 @@
 //!   by a sampled reconfiguration table (paper §4.4; ~15% mean
 //!   speedup), in both the every-Nth-branch and subroutine
 //!   (call/return) variants.
-//! * [`phase`] — the offline instability analysis behind Table 4.
+//! * [`phase`] — the interval model the interval policies share: the
+//!   per-interval counter, Figure 4's phase-change test, the
+//!   [`Timeline`] observer, and the offline instability analysis
+//!   behind Table 4.
 //!
 //! All policies implement
 //! [`ReconfigPolicy`](clustered_sim::ReconfigPolicy) and plug into
@@ -51,13 +54,12 @@ mod explore;
 pub mod export;
 mod finegrain;
 pub mod phase;
-mod recording;
 
 pub use distant::{IntervalDistantIlp, IntervalDistantIlpConfig};
 pub use explore::{IntervalExplore, IntervalExploreConfig};
 pub use export::{
-    chrome_trace, decisions_jsonl, host_chrome_trace, host_profile_json, timeline_jsonl,
-    HOST_TID_BASE,
+    chrome_trace, decisions_document, decisions_jsonl, host_chrome_trace, host_profile_json,
+    timeline_jsonl, HOST_TID_BASE,
 };
 pub use finegrain::{FineGrain, FineGrainConfig, Trigger};
-pub use recording::{Recording, TimelineEntry};
+pub use phase::{Timeline, TimelineEntry};

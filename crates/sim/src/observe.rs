@@ -16,12 +16,15 @@
 //!
 //! [`ReconfigLog`] keeps the reconfiguration and flush log the
 //! Chrome-trace exporter renders for `clustered trace`;
-//! [`DecisionTrace`] keeps the policy's decision records.
+//! [`DecisionTrace`] keeps the policy's decision records. The
+//! per-interval timeline (`clustered_core::phase::Timeline`) builds on
+//! [`SimObserver::on_commit`], which carries each commit's policy
+//! request.
 //!
 //! Observers compose: a pair `(A, B)` is itself an observer that
 //! forwards every hook to `A` and then to `B`, and opts into each
 //! `WANTS_*` gate either half asks for. `clustered trace` runs
-//! `(ReconfigLog, DecisionTrace)`; nest pairs for more.
+//! `((ReconfigLog, DecisionTrace), Timeline)`; nest pairs for more.
 
 use crate::decision::DecisionRecord;
 use crate::reconfig::CommitEvent;
@@ -85,11 +88,14 @@ pub trait SimObserver {
     #[inline(always)]
     fn on_measure_start(&mut self) {}
 
-    /// An instruction retired (same event the
-    /// [`ReconfigPolicy`](crate::ReconfigPolicy) sees).
+    /// An instruction retired. Called after the
+    /// [`ReconfigPolicy`](crate::ReconfigPolicy) saw the same event,
+    /// with the cluster count it requested, if any. On the
+    /// decentralized cache the request takes effect only after a
+    /// drain ([`on_reconfig`](SimObserver::on_reconfig) reports when).
     #[inline(always)]
-    fn on_commit(&mut self, event: &CommitEvent) {
-        let _ = event;
+    fn on_commit(&mut self, event: &CommitEvent, request: Option<usize>) {
+        let _ = (event, request);
     }
 
     /// The active-cluster count changed `from → to` clusters.
@@ -177,7 +183,7 @@ impl<A: SimObserver, B: SimObserver> SimObserver for (A, B) {
 
     forward_to_both! {
         on_measure_start();
-        on_commit(event: &CommitEvent);
+        on_commit(event: &CommitEvent, request: Option<usize>);
         on_reconfig(cycle: u64, from: usize, to: usize);
         on_flush_stall(cycle: u64, stall_cycles: u64, writebacks: u64);
         on_decision(decision: &DecisionRecord);
@@ -365,7 +371,7 @@ mod tests {
     #[test]
     fn null_observer_is_inert_and_trivially_constructible() {
         let mut o = NullObserver;
-        o.on_commit(&commit_event(1, 1));
+        o.on_commit(&commit_event(1, 1), Some(4));
         o.on_reconfig(5, 4, 16);
         assert_eq!(o, NullObserver);
     }

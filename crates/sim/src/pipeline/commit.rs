@@ -126,9 +126,10 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
             distant,
             mispredicted,
         };
-        self.observer.on_commit(&event);
-        if let Some(request) = self.policy.on_commit(&event) {
-            self.reconfig_request = Some(request);
+        let request = self.policy.on_commit(&event);
+        self.observer.on_commit(&event, request);
+        if request.is_some() {
+            self.reconfig_request = request;
         }
         // Decision telemetry is drained only for observers that opt
         // in; the branch is a compile-time constant, so NullObserver

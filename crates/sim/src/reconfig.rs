@@ -71,28 +71,6 @@ pub trait ReconfigPolicy {
     }
 }
 
-/// A boxed policy is a policy, so wrappers such as `Recording` can
-/// take one chosen at run time.
-impl<P: ReconfigPolicy + ?Sized> ReconfigPolicy for Box<P> {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-
-    fn initial_clusters(&self) -> usize {
-        (**self).initial_clusters()
-    }
-
-    #[inline]
-    fn on_commit(&mut self, event: &CommitEvent) -> Option<usize> {
-        (**self).on_commit(event)
-    }
-
-    #[inline]
-    fn take_decision(&mut self) -> Option<DecisionRecord> {
-        (**self).take_decision()
-    }
-}
-
 /// How many commits a [`FixedPolicy`] covers per telemetry checkpoint.
 pub const FIXED_CHECKPOINT_COMMITS: u64 = 10_000;
 

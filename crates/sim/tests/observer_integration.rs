@@ -1,13 +1,111 @@
 //! End-to-end checks that [`ReconfigLog`] sees the same
-//! reconfigurations the statistics counters describe, and that the
-//! observer seam — composed observers included — does not perturb
-//! simulation results.
+//! reconfigurations the statistics counters describe, that
+//! `on_commit` carries the policy's requests, and that the observer
+//! seam — composed observers included — does not perturb simulation
+//! results.
 
+use clustered_core::Timeline;
 use clustered_sim::{
-    drive, AuditObserver, CacheModel, DecisionTrace, FixedPolicy, HostProfiler, NullObserver,
-    Processor, ReconfigLog, ReconfigPolicy, Run, SimConfig, SimObserver, SimStats, SteeringKind,
+    drive, AuditObserver, CacheModel, CommitEvent, DecisionTrace, FixedPolicy, HostProfiler,
+    NullObserver, Processor, ReconfigLog, ReconfigPolicy, Run, SimConfig, SimObserver, SimStats,
+    SteeringKind,
 };
 use clustered_workloads::by_name;
+
+/// A policy oscillating between 4 and 16 clusters: its `n`-th call
+/// returns [`Oscillate::request`]`(n)`.
+struct Oscillate {
+    n: u64,
+}
+
+impl Oscillate {
+    fn request(n: u64) -> Option<usize> {
+        match n % 4_000 {
+            0 => Some(4),
+            2_000 => Some(16),
+            _ => None,
+        }
+    }
+}
+
+impl ReconfigPolicy for Oscillate {
+    fn name(&self) -> String {
+        "oscillate".to_string()
+    }
+    fn initial_clusters(&self) -> usize {
+        4
+    }
+    fn on_commit(&mut self, _e: &CommitEvent) -> Option<usize> {
+        self.n += 1;
+        Oscillate::request(self.n)
+    }
+}
+
+/// Every commit's `(seq, cycle, request)`, in the order seen.
+#[derive(Debug, Default, PartialEq)]
+struct Commits(Vec<(u64, u64, Option<usize>)>);
+
+impl SimObserver for Commits {
+    fn on_commit(&mut self, event: &CommitEvent, request: Option<usize>) {
+        self.0.push((event.seq, event.cycle, request));
+    }
+}
+
+/// gzip under [`Oscillate`] for 20k instructions, from the first
+/// commit.
+fn drive_oscillating<O: SimObserver>(cfg: SimConfig, observer: O) -> Run<O> {
+    let w = by_name("gzip").expect("gzip workload exists");
+    let stream = w.trace().map(Result::unwrap);
+    let policy = Box::new(Oscillate { n: 0 });
+    drive(cfg, stream, policy, SteeringKind::default(), observer, 0, 20_000)
+        .expect("valid config, no stall")
+}
+
+#[test]
+fn on_commit_sees_each_request_in_commit_order() {
+    let run = drive_oscillating(SimConfig::default(), Commits::default());
+    let commits = &run.observer.0;
+    assert_eq!(commits.len() as u64, run.stats.committed);
+    assert!(commits.windows(2).all(|w| w[0].0 < w[1].0), "commit order");
+    for (i, &(_, _, request)) in commits.iter().enumerate() {
+        assert_eq!(request, Oscillate::request(i as u64 + 1), "commit {}", i + 1);
+    }
+    assert!(commits.iter().filter(|c| c.2.is_some()).count() >= 9);
+
+    let paired = drive_oscillating(SimConfig::default(), (Commits::default(), Commits::default()));
+    assert_eq!(paired.stats, run.stats);
+    assert_eq!(paired.observer.0, run.observer, "first half");
+    assert_eq!(paired.observer.1, run.observer, "second half");
+}
+
+/// The timeline's `clusters` column is the *requested* count: on the
+/// decentralized cache it changes at the request, while the drain
+/// that precedes the reconfiguration is still running.
+#[test]
+fn timeline_shows_a_request_while_its_drain_is_pending() {
+    let mut cfg = SimConfig::default();
+    cfg.cache.model = CacheModel::Decentralized;
+    let observer = (Timeline::new(1, 4), (ReconfigLog::new(), Commits::default()));
+    let run = drive_oscillating(cfg, observer);
+    let (timeline, (log, commits)) = run.observer;
+    let applied = log.reconfigs.first().expect("the policy reconfigured");
+    assert_eq!((applied.from, applied.to), (4, 16));
+    let entries = timeline.entries();
+    assert_eq!(entries.len(), commits.0.len(), "one entry per commit");
+    // Entry `i` covers commit `i + 1`, with the count requested by
+    // commit `i` or earlier.
+    let first_wide = entries.iter().position(|e| e.clusters == 16).expect("a request for 16");
+    assert_eq!(first_wide, 2_000, "the 2000th commit requests 16 clusters");
+    let pending: Vec<_> = (first_wide..entries.len())
+        .take_while(|&i| commits.0[i].1 < applied.cycle)
+        .inspect(|&i| assert_eq!(entries[i].clusters, 16))
+        .collect();
+    assert!(
+        !pending.is_empty(),
+        "commits after the request retire before the reconfiguration at cycle {}",
+        applied.cycle
+    );
+}
 
 fn run_observed(
     cfg: SimConfig,
@@ -28,27 +126,8 @@ fn run_observed(
 fn observer_sees_decentralized_reconfigurations_and_flushes() {
     let mut cfg = SimConfig::default();
     cfg.cache.model = CacheModel::Decentralized;
-    // A policy oscillating between 4 and 16 clusters forces real
-    // drain + flush reconfigurations.
-    struct Oscillate {
-        n: u64,
-    }
-    impl ReconfigPolicy for Oscillate {
-        fn name(&self) -> String {
-            "oscillate".to_string()
-        }
-        fn initial_clusters(&self) -> usize {
-            4
-        }
-        fn on_commit(&mut self, _e: &clustered_sim::CommitEvent) -> Option<usize> {
-            self.n += 1;
-            match self.n % 4_000 {
-                0 => Some(4),
-                2_000 => Some(16),
-                _ => None,
-            }
-        }
-    }
+    // Oscillating between 4 and 16 clusters forces real drain + flush
+    // reconfigurations.
     let (stats, m) = run_observed(cfg, Box::new(Oscillate { n: 0 }), 20_000);
     assert!(stats.reconfigurations > 0, "policy must have fired");
     assert_eq!(m.reconfigs.len() as u64, stats.reconfigurations);

@@ -1,17 +1,14 @@
 //! Phase analysis of a workload: samples per-interval metrics with a
-//! recording fixed 16-cluster policy (as Table 4 does), prints the instability factor at a range of
-//! interval lengths, and reports the interval length the Figure 4
-//! algorithm would settle on.
+//! timeline observer on a fixed 16-cluster run (as Table 4 does),
+//! prints the instability factor at a range of interval lengths, and
+//! reports the interval length the Figure 4 algorithm would settle on.
 //!
 //! ```sh
 //! cargo run --release --example phase_explorer -- gzip
 //! ```
 
-use clustered::policies::phase::{
-    instability_factor, minimum_stable_interval, StabilityThresholds,
-};
-use clustered::policies::Recording;
-use clustered::sim::{drive, FixedPolicy, NullObserver, SimConfig, SteeringKind};
+use clustered::policies::phase::{instability_factor, minimum_stable_interval, Timeline};
+use clustered::sim::{drive, FixedPolicy, SimConfig, SteeringKind};
 use clustered::workloads;
 
 const BASE_INTERVAL: u64 = 1_000;
@@ -25,23 +22,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     println!("Phase behaviour of `{name}` ({INSTRUCTIONS} instructions, 16 clusters)\n");
 
-    let (recorder, timeline) = Recording::new(FixedPolicy::new(16), BASE_INTERVAL);
     let stream = w.trace().map(|r| r.expect("kernel is endless"));
     let (cfg, steering) = (SimConfig::default(), SteeringKind::default());
-    drive(cfg, stream, Box::new(recorder), steering, NullObserver, 0, INSTRUCTIONS)?;
-    let records: Vec<_> = timeline.borrow().iter().map(|e| e.record).collect();
+    let timeline = Timeline::new(BASE_INTERVAL, 16);
+    let policy = Box::new(FixedPolicy::new(16));
+    let records =
+        drive(cfg, stream, policy, steering, timeline, 0, INSTRUCTIONS)?.observer.records();
 
-    let thresholds = StabilityThresholds::default();
     println!("{:>16} {:>12}", "interval length", "instability");
     let mut group = 1;
     while records.len() / group >= 4 {
-        if let Some(factor) = instability_factor(&records, group, &thresholds) {
+        if let Some(factor) = instability_factor(&records, group) {
             let marker = if factor < 5.0 { "  <- acceptable (<5%)" } else { "" };
             println!("{:>16} {factor:>11.1}%{marker}", BASE_INTERVAL * group as u64);
         }
         group *= 2;
     }
-    match minimum_stable_interval(&records, &thresholds, 5.0) {
+    match minimum_stable_interval(&records, 5.0) {
         Some((len, factor)) => {
             println!("\nThe interval algorithm would settle at {len}-instruction intervals");
             println!(

@@ -11,10 +11,10 @@
 //! clustered phases --workload gzip  # Table-4 style instability report
 //! ```
 
-use clustered::policies::phase::{instability_factor, StabilityThresholds};
+use clustered::policies::phase::instability_factor;
 use clustered::policies::{
-    chrome_trace, decisions_jsonl, host_chrome_trace, host_profile_json, timeline_jsonl, FineGrain,
-    IntervalDistantIlp, IntervalExplore, Recording,
+    chrome_trace, decisions_document, host_chrome_trace, host_profile_json, timeline_jsonl,
+    FineGrain, IntervalDistantIlp, IntervalExplore, Timeline,
 };
 use clustered::sim::{
     drive, estimate_energy, AuditObserver, CacheModel, DecisionReason, DecisionRecord,
@@ -287,24 +287,29 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let trace = capture(&flags, warmup, instructions)?;
     let workload_name = trace.name().to_string();
 
-    let (policy, timeline): (Box<dyn ReconfigPolicy>, _) = match flags.get("csv") {
-        Some(_) => {
-            let (wrapped, out) = Recording::new(policy, 1_000);
-            (Box::new(wrapped), Some(out))
-        }
-        None => (policy, None),
-    };
     // Pre-decode once, then simulate off the compiled table: identical
     // results to plain replay, cheaper per instruction. Without --audit
-    // the run keeps the zero-cost `NullObserver` loop.
+    // or --csv the run keeps the zero-cost `NullObserver` loop.
     let stream = trace.compile().replay();
     let steering = SteeringKind::default();
+    let timeline = flags.has("csv").then(|| Timeline::new(1_000, policy.initial_clusters()));
     let wall = std::time::Instant::now();
-    let (s, ended_in_warmup, auditor) = match audit {
-        None => drive(cfg, stream, policy, steering, NullObserver, warmup, instructions)
-            .map(|run| (run.stats, run.ended_in_warmup, None)),
-        Some(_) => drive(cfg, stream, policy, steering, AuditObserver::new(), warmup, instructions)
-            .map(|run| (run.stats, run.ended_in_warmup, Some(run.observer))),
+    let (s, ended_in_warmup, auditor, timeline) = match (audit, timeline) {
+        (None, None) => drive(cfg, stream, policy, steering, NullObserver, warmup, instructions)
+            .map(|run| (run.stats, run.ended_in_warmup, None, None)),
+        (None, Some(t)) => drive(cfg, stream, policy, steering, t, warmup, instructions)
+            .map(|run| (run.stats, run.ended_in_warmup, None, Some(run.observer))),
+        (Some(_), None) => {
+            drive(cfg, stream, policy, steering, AuditObserver::new(), warmup, instructions)
+                .map(|run| (run.stats, run.ended_in_warmup, Some(run.observer), None))
+        }
+        (Some(_), Some(t)) => {
+            let observer = (AuditObserver::new(), t);
+            drive(cfg, stream, policy, steering, observer, warmup, instructions).map(|run| {
+                let (auditor, timeline) = run.observer;
+                (run.stats, run.ended_in_warmup, Some(auditor), Some(timeline))
+            })
+        }
     }
     .map_err(|e| e.to_string())?;
     if let Some(committed) = ended_in_warmup {
@@ -396,7 +401,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         let mut csv = String::from("committed,cycles,ipc,branches,memrefs,clusters\n");
         // Match the printed statistics: intervals entirely inside the
         // warm-up are discarded.
-        for entry in timeline.borrow().iter().filter(|e| e.committed > warmup) {
+        for entry in timeline.entries().iter().filter(|e| e.committed > warmup) {
             csv.push_str(&format!(
                 "{},{},{:.4},{},{},{}\n",
                 entry.committed,
@@ -409,7 +414,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
         std::fs::write(path, csv).map_err(|e| format!("cannot write `{path}`: {e}"))?;
         if !flags.has("json") {
-            println!("timeline            {path} ({} intervals)", timeline.borrow().len());
+            println!("timeline            {path} ({} intervals)", timeline.entries().len());
         }
     }
     if flags.has("energy") && !flags.has("json") {
@@ -471,14 +476,14 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     // Unlike `run`, the trace covers the whole execution including the
     // warm-up: a timeline with a hole at the start is more confusing
     // than one marked from cycle 0.
-    let (policy, timeline) = Recording::new(policy, interval);
+    let timeline = Timeline::new(interval, policy.initial_clusters());
     let captured = capture(&flags, warmup, instructions)?;
     let stream = captured.compile().replay();
-    let observer = (ReconfigLog::new(), DecisionTrace::new());
-    let (policy, steering) = (Box::new(policy), SteeringKind::default());
+    let observer = ((ReconfigLog::new(), DecisionTrace::new()), timeline);
+    let steering = SteeringKind::default();
     let run = drive(cfg, stream, policy, steering, observer, 0, warmup + instructions)
         .map_err(|e| e.to_string())?;
-    let (s, (log, decisions)) = (run.stats, run.observer);
+    let (s, ((log, decisions), timeline)) = (run.stats, run.observer);
 
     let (dropped_reconfigs, dropped_decisions) = (log.dropped_reconfigs(), decisions.dropped());
     if dropped_reconfigs + dropped_decisions > 0 {
@@ -500,10 +505,10 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     println!("reconfigurations    {}", s.reconfigurations);
     println!("trace               {out_path} ({events} events)");
     if let Some(events_path) = flags.get("events") {
-        let jsonl = timeline_jsonl(&timeline.borrow());
+        let jsonl = timeline_jsonl(timeline.entries());
         std::fs::write(events_path, jsonl)
             .map_err(|e| format!("cannot write `{events_path}`: {e}"))?;
-        println!("events              {events_path} ({} intervals)", timeline.borrow().len());
+        println!("events              {events_path} ({} intervals)", timeline.entries().len());
     }
     Ok(())
 }
@@ -652,19 +657,13 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     }
 
     if let Some(path) = flags.get("decisions") {
-        // First line is the run's provenance record (discriminated by
-        // its `event` key); decision records follow, one per line.
         let prov = Provenance::new(
             trace.name(),
             Some(trace.checksum()),
             cfg.digest(),
             policy_name.as_str(),
         );
-        let header = Json::object()
-            .set("event", "provenance")
-            .set("provenance", prov.to_json())
-            .to_string_compact();
-        std::fs::write(path, format!("{header}\n{}", decisions_jsonl(&decisions)))
+        std::fs::write(path, decisions_document(&prov, &decisions))
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
         println!("  trace               {path} ({} lines)", decisions.len() + 1);
     }
@@ -887,12 +886,14 @@ fn cmd_phases(args: &[String]) -> Result<(), String> {
         return Err("--base-interval must be non-zero".into());
     }
     let trace = capture(&flags, warmup, instructions)?;
-    let (recorder, timeline) = Recording::new(FixedPolicy::new(16), base);
     let stream = trace.compile().replay();
-    let (cfg, steering) = (SimConfig::default(), SteeringKind::default());
-    drive(cfg, stream, Box::new(recorder), steering, NullObserver, 0, warmup + instructions)
-        .map_err(|e| e.to_string())?;
-    let records: Vec<_> = timeline.borrow().iter().map(|e| e.record).collect();
+    let (cfg, steering, policy) =
+        (SimConfig::default(), SteeringKind::default(), Box::new(FixedPolicy::new(16)));
+    let timeline = Timeline::new(base, policy.initial_clusters());
+    let records = drive(cfg, stream, policy, steering, timeline, 0, warmup + instructions)
+        .map_err(|e| e.to_string())?
+        .observer
+        .records();
     // Discard the warm-up portion, as the Table 4 experiment does.
     let skip = ((warmup / base) as usize).min(records.len());
     let records = &records[skip..];
@@ -901,10 +902,9 @@ fn cmd_phases(args: &[String]) -> Result<(), String> {
         trace.name(),
         records.len()
     );
-    let thresholds = StabilityThresholds::default();
     let mut group = 1;
     while records.len() / group >= 4 {
-        if let Some(f) = instability_factor(records, group, &thresholds) {
+        if let Some(f) = instability_factor(records, group) {
             println!("interval {:>9}: {f:>5.1}% unstable", base * group as u64);
         }
         group *= 2;
