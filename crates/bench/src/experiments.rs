@@ -165,7 +165,7 @@ impl Experiment {
                 let policy = (point.policy)().name();
                 let prov = Provenance::new(
                     point.trace.name(),
-                    Some(point.trace_checksum),
+                    Some(point.trace_checksum()),
                     point.config_digest,
                     &policy,
                 );

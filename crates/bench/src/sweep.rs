@@ -100,11 +100,6 @@ pub struct SweepPoint {
     pub warmup: u64,
     /// Measured instructions.
     pub measure: u64,
-    /// FNV-1a checksum of the captured dynamic stream
-    /// ([`CapturedTrace::checksum`]), stamped into heartbeat records
-    /// so a stream consumer can tie each point back to the exact
-    /// trace it replayed.
-    pub trace_checksum: u64,
     /// Digest of the timing configuration
     /// ([`SimConfig::digest`](clustered_sim::SimConfig::digest)),
     /// likewise stamped into heartbeats.
@@ -130,9 +125,18 @@ impl SweepPoint {
             policy: Box::new(policy),
             warmup,
             measure,
-            trace_checksum: trace.checksum(),
             config_digest: cfg.digest(),
         }
+    }
+
+    /// FNV-1a checksum of the captured dynamic stream
+    /// ([`CapturedTrace::checksum`]), stamped into heartbeat records
+    /// and `--decisions` headers so a consumer can tie each point back
+    /// to the exact trace it replayed. The capture computes it on the
+    /// first call and shares it with every point replaying it, so a
+    /// sweep that stamps nothing never hashes its traces.
+    pub fn trace_checksum(&self) -> u64 {
+        self.trace.checksum()
     }
 
     /// Replaces the steering heuristic (builder style).
@@ -267,19 +271,16 @@ fn eta_seconds(elapsed: f64, done: usize, total: usize) -> Option<f64> {
     Some(elapsed / done as f64 * total.saturating_sub(done) as f64).filter(|s| s.is_finite())
 }
 
-/// One structured heartbeat record (see EXPERIMENTS.md, "Sweep
-/// heartbeats").
-#[allow(clippy::too_many_arguments)]
+/// One structured heartbeat record for `point` (see EXPERIMENTS.md,
+/// "Sweep heartbeats").
 fn heartbeat_json(
-    label: &str,
+    point: &SweepPoint,
     worker: usize,
     done: usize,
     total: usize,
     point_s: f64,
     elapsed_s: f64,
     sim_cycles: Option<u64>,
-    trace_checksum: u64,
-    config_digest: u64,
 ) -> clustered_stats::Json {
     use clustered_stats::Json;
     let eta = eta_seconds(elapsed_s, done, total);
@@ -287,7 +288,7 @@ fn heartbeat_json(
         sim_cycles.filter(|_| point_s > 0.0).map(|c| c as f64 / point_s).filter(|r| r.is_finite());
     Json::object()
         .set("event", "point")
-        .set("label", label)
+        .set("label", point.label.as_str())
         .set("worker", worker)
         .set("done", done)
         .set("total", total)
@@ -296,8 +297,8 @@ fn heartbeat_json(
         .set("eta_s", eta.map_or(Json::Null, Json::from))
         .set("sim_cycles", sim_cycles.map_or(Json::Null, Json::from))
         .set("sim_cycles_per_s", per_s.map_or(Json::Null, Json::from))
-        .set("trace_checksum", trace_checksum)
-        .set("config_digest", config_digest)
+        .set("trace_checksum", point.trace_checksum())
+        .set("config_digest", point.config_digest)
 }
 
 /// The per-sweep progress reporter: formats stderr lines or appends
@@ -371,17 +372,8 @@ impl ProgressSink {
                 );
             }
             ProgressMode::Jsonl(_) => {
-                let line = heartbeat_json(
-                    &point.label,
-                    worker,
-                    done,
-                    self.total,
-                    point_s,
-                    elapsed,
-                    sim_cycles,
-                    point.trace_checksum,
-                    point.config_digest,
-                );
+                let line =
+                    heartbeat_json(point, worker, done, self.total, point_s, elapsed, sim_cycles);
                 self.emit(line);
             }
         }
@@ -544,26 +536,42 @@ mod tests {
         );
     }
 
+    /// A gzip point over a short capture, as a heartbeat reports it.
+    fn gzip_point() -> SweepPoint {
+        let gzip = clustered_workloads::by_name("gzip").expect("gzip is a kernel");
+        let trace = CapturedTrace::capture(&gzip, 2_000);
+        SweepPoint::new(
+            "gzip/4",
+            &trace,
+            SimConfig::default(),
+            || Box::new(clustered_sim::FixedPolicy::new(4)),
+            0,
+            1_000,
+        )
+    }
+
     #[test]
     fn heartbeat_never_records_nonfinite_rates() {
         use clustered_stats::Json;
+        let p = gzip_point();
         // First point of the sweep: no throughput yet, eta_s is null.
-        let line = heartbeat_json("gzip/4", 0, 0, 8, 0.5, 0.5, Some(40_000), 7, 9);
+        let line = heartbeat_json(&p, 0, 0, 8, 0.5, 0.5, Some(40_000));
         assert_eq!(line.get("eta_s"), Some(&Json::Null));
         // Zero-duration point (timer granularity): no cycles/s rate,
         // and the zero-elapsed eta stays a number, not NaN.
-        let line = heartbeat_json("gzip/4", 0, 1, 8, 0.0, 0.0, Some(40_000), 7, 9);
+        let line = heartbeat_json(&p, 0, 1, 8, 0.0, 0.0, Some(40_000));
         assert_eq!(line.get("sim_cycles_per_s"), Some(&Json::Null));
         assert_eq!(line.get("eta_s").and_then(Json::as_f64), Some(0.0));
         // Subnormal point time would overflow the rate to inf.
-        let line = heartbeat_json("gzip/4", 0, 1, 8, f64::MIN_POSITIVE, 1.0, Some(u64::MAX), 7, 9);
+        let line = heartbeat_json(&p, 0, 1, 8, f64::MIN_POSITIVE, 1.0, Some(u64::MAX));
         assert_eq!(line.get("sim_cycles_per_s"), Some(&Json::Null));
     }
 
     #[test]
     fn heartbeat_record_has_the_documented_schema() {
         use clustered_stats::Json;
-        let line = heartbeat_json("gzip/4", 2, 3, 8, 0.5, 6.0, Some(40_000), 0xfeed, 0xbeef);
+        let p = gzip_point();
+        let line = heartbeat_json(&p, 2, 3, 8, 0.5, 6.0, Some(40_000));
         assert_eq!(
             line.keys().unwrap(),
             vec![
@@ -584,14 +592,21 @@ mod tests {
         assert_eq!(line.get("event").and_then(Json::as_str), Some("point"));
         assert_eq!(line.get("eta_s").and_then(Json::as_f64), Some(10.0));
         assert_eq!(line.get("sim_cycles_per_s").and_then(Json::as_f64), Some(80_000.0));
-        assert_eq!(line.get("trace_checksum").and_then(Json::as_u64), Some(0xfeed));
-        assert_eq!(line.get("config_digest").and_then(Json::as_u64), Some(0xbeef));
+        assert_eq!(line.get("label").and_then(Json::as_str), Some("gzip/4"));
+        // Computed on demand, the checksum is still the capture's own.
+        let gzip = clustered_workloads::by_name("gzip").expect("gzip is a kernel");
+        let checksum = CapturedTrace::capture(&gzip, 2_000).checksum();
+        assert_eq!(line.get("trace_checksum").and_then(Json::as_u64), Some(checksum));
+        assert_eq!(
+            line.get("config_digest").and_then(Json::as_u64),
+            Some(SimConfig::default().digest())
+        );
         // Every line parses back — the stream is consumable by the
         // stats crate's own parser.
         let reparsed = clustered_stats::json::parse(&line.to_string_compact()).unwrap();
         assert_eq!(reparsed, line);
         // A runner without cycle counts degrades to nulls, not lies.
-        let bare = heartbeat_json("p", 0, 1, 1, 0.0, 0.0, None, 0, 0);
+        let bare = heartbeat_json(&p, 0, 1, 1, 0.0, 0.0, None);
         assert_eq!(bare.get("sim_cycles"), Some(&Json::Null));
         assert_eq!(bare.get("sim_cycles_per_s"), Some(&Json::Null));
     }

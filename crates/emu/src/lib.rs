@@ -46,11 +46,13 @@
 #![forbid(unsafe_code)]
 
 mod decoded;
+mod fxhash;
 mod machine;
 mod memory;
 mod trace;
 
 pub use decoded::{DecodedInst, TraceSource};
+pub use fxhash::{FastMap, U64Hasher};
 pub use machine::{trace, EmuError, Machine, Trace};
 pub use memory::Memory;
 pub use trace::{BranchKind, BranchOutcome, DynInst, MemAccess};

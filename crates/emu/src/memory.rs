@@ -1,6 +1,6 @@
 //! Sparse, paged byte-addressed memory.
 
-use std::collections::HashMap;
+use crate::fxhash::FastMap;
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -11,7 +11,10 @@ const OFFSET_MASK: u64 = (PAGE_SIZE as u64) - 1;
 /// Pages are allocated on first touch and read as zero before any
 /// write, so programs can use arbitrarily-placed stacks and heaps
 /// without explicit mapping. All multi-byte accesses are little-endian
-/// and may be unaligned.
+/// and may be unaligned. The page map uses the integer
+/// [`FastMap`](crate::FastMap) hasher, since every emulated load and
+/// store looks up one page, and [`Memory::write_slice`] copies a
+/// segment one page at a time.
 ///
 /// # Examples
 ///
@@ -24,7 +27,7 @@ const OFFSET_MASK: u64 = (PAGE_SIZE as u64) - 1;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: FastMap<u64, Box<[u8; PAGE_SIZE]>>,
 }
 
 impl Memory {
@@ -46,11 +49,14 @@ impl Memory {
         }
     }
 
+    /// The page holding `addr`, allocated zeroed on first touch.
+    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
+        self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+    }
+
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        let page =
-            self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-        page[(addr & OFFSET_MASK) as usize] = value;
+        self.page_mut(addr)[(addr & OFFSET_MASK) as usize] = value;
     }
 
     /// Reads `N` little-endian bytes starting at `addr`.
@@ -74,9 +80,7 @@ impl Memory {
     pub fn write_bytes<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) {
         let offset = (addr & OFFSET_MASK) as usize;
         if offset + N <= PAGE_SIZE {
-            let page =
-                self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            page[offset..offset + N].copy_from_slice(&bytes);
+            self.page_mut(addr)[offset..offset + N].copy_from_slice(&bytes);
             return;
         }
         for (i, byte) in bytes.iter().enumerate() {
@@ -114,10 +118,18 @@ impl Memory {
         self.write_u64(addr, value.to_bits());
     }
 
-    /// Copies a byte slice into memory starting at `addr`.
-    pub fn write_slice(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, byte) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *byte);
+    /// Copies a byte slice into memory starting at `addr`, one page
+    /// at a time: one page lookup and one `memcpy` per page touched,
+    /// with the same result as writing each byte with
+    /// [`Memory::write_u8`] (addresses wrap at the top of the space).
+    /// An empty slice touches no page.
+    pub fn write_slice(&mut self, mut addr: u64, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let offset = (addr & OFFSET_MASK) as usize;
+            let (chunk, rest) = bytes.split_at(bytes.len().min(PAGE_SIZE - offset));
+            self.page_mut(addr)[offset..offset + chunk.len()].copy_from_slice(chunk);
+            addr = addr.wrapping_add(chunk.len() as u64);
+            bytes = rest;
         }
     }
 }
@@ -165,11 +177,39 @@ mod tests {
         assert_eq!(mem.resident_pages(), 2);
     }
 
+    /// `write_slice` must equal byte-by-byte `write_u8`: contents and
+    /// resident pages, for a short slice inside a page, one starting
+    /// mid-page and spanning more than three pages, one ending exactly
+    /// on a page boundary, one wrapping past the top of the address
+    /// space, and an empty one.
     #[test]
     fn write_slice_round_trip() {
+        let page = PAGE_SIZE as u64;
+        let cases: [(u64, usize); 5] = [
+            (50, 5),
+            (page + 100, 3 * PAGE_SIZE + 17),
+            (2 * page - 300, 300 + PAGE_SIZE),
+            (u64::MAX - 9, 20),
+            (page + 7, 0),
+        ];
+        for (addr, len) in cases {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let mut paged = Memory::new();
+            paged.write_slice(addr, &bytes);
+            let mut bytewise = Memory::new();
+            for (i, &b) in bytes.iter().enumerate() {
+                bytewise.write_u8(addr.wrapping_add(i as u64), b);
+            }
+            assert_eq!(paged.resident_pages(), bytewise.resident_pages(), "{addr:#x}+{len}");
+            for i in 0..len as u64 + 2 * page {
+                let a = addr.wrapping_sub(page).wrapping_add(i);
+                assert_eq!(paged.read_u8(a), bytewise.read_u8(a), "{addr:#x}+{len} at {a:#x}");
+            }
+        }
         let mut mem = Memory::new();
-        mem.write_slice(50, &[1, 2, 3, 4, 5]);
-        assert_eq!(mem.read_u8(50), 1);
-        assert_eq!(mem.read_u8(54), 5);
+        mem.write_slice(page + 7, &[]);
+        assert_eq!(mem.resident_pages(), 0, "an empty slice touches no page");
+        mem.write_slice(2 * page - 4, &[1, 2, 3, 4]);
+        assert_eq!(mem.resident_pages(), 1, "a slice ending on a boundary stays in its page");
     }
 }

@@ -56,7 +56,6 @@ mod config;
 mod crit;
 mod decision;
 mod energy;
-mod fxhash;
 mod host;
 mod interconnect;
 mod lsq;

@@ -7,7 +7,7 @@
 //! every other active slice until its address broadcast arrives
 //! (paper §5, after Zyuban & Kogge).
 
-use crate::fxhash::FastMap;
+use clustered_emu::FastMap;
 
 /// One load/store queue slice.
 ///

@@ -298,14 +298,25 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest nesting of arrays and objects [`parse`] accepts.
+///
+/// The parser recurses once per level, so without a cap a file of
+/// 50 000 `[` overflows the stack and aborts the process. The deepest
+/// document the repository writes nests about five levels (envelope,
+/// data, a point, its stats, a histogram); 128 leaves a wide margin
+/// and matches the default recursion limit of common JSON libraries,
+/// while keeping the recursion far inside a 2 MiB thread stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document (used by the golden/round-trip tests; the
 /// exporters only serialize).
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] naming the first offending byte offset.
+/// Returns a [`JsonError`] naming the first offending byte offset,
+/// including the `[` or `{` that opens a level past [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -318,6 +329,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -359,8 +372,15 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -544,6 +564,20 @@ mod tests {
         for bad in ["", "{", "[1,", "tru", "{\"a\" 1}", "1 2", "\"unterminated"] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    /// Nesting up to the cap parses; one level more is an error, not
+    /// a stack overflow, for arrays and objects alike.
+    #[test]
+    fn parse_caps_nesting_depth() {
+        for (open, inner, close) in [("[", "", "]"), ("{\"k\":", "1", "}")] {
+            let nested = |depth| format!("{}{inner}{}", open.repeat(depth), close.repeat(depth));
+            assert!(parse(&nested(MAX_DEPTH)).is_ok(), "{open}: {MAX_DEPTH} levels parse");
+            let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.message.contains("nesting deeper than 128"), "{err}");
+        }
+        let err = parse(&"[".repeat(50_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "rejected at the first level past the cap");
     }
 
     #[test]

@@ -274,8 +274,10 @@ impl CapturedTrace {
     /// (`addr`, `pc`, `next_pc`, `flags`) in sequence order: the same
     /// bytes for the same capture on any host. The workload name is not
     /// hashed, so the checksum is stable across renames of the same
-    /// dynamic stream. Computed once per capture and shared by its
-    /// clones.
+    /// dynamic stream. Hashing walks every record, so it is computed
+    /// on the first call, not at capture, and shared by every clone:
+    /// a run pays for it only when an output stores it (provenance,
+    /// heartbeats, decision headers).
     pub fn checksum(&self) -> u64 {
         *self.checksum.get_or_init(|| {
             self.stream

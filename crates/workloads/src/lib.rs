@@ -47,13 +47,21 @@ pub use profile::{PaperProfile, WorkloadClass};
 use clustered_emu::{Machine, Trace};
 use clustered_isa::{assemble, Program};
 
-/// The workload names, in the paper's (alphabetical) Table 3 order.
-pub const NAMES: [&str; 9] =
-    ["cjpeg", "crafty", "djpeg", "galgel", "gzip", "mgrid", "parser", "swim", "vpr"];
+/// The workload names, in the paper's (alphabetical) Table 3 order:
+/// the names of the kernel table behind [`all`] and [`by_name`].
+pub const NAMES: [&str; 9] = {
+    let mut names = [""; KERNELS.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = KERNELS[i].name;
+        i += 1;
+    }
+    names
+};
 
 /// A ready-to-run workload: an assembled kernel, its generated input
 /// data, and the published profile of the benchmark it stands in for.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     name: String,
     description: String,
@@ -125,93 +133,117 @@ impl Workload {
     }
 }
 
-fn make(
+/// A kernel generator: its assembly source and its input segments.
+type Build = fn() -> (String, Vec<(u64, Vec<u8>)>);
+
+/// One built-in kernel: what [`Workload`] records about it, and the
+/// generator of its source and input segments.
+struct Kernel {
     name: &'static str,
     description: &'static str,
     paper: PaperProfile,
-    built: (String, Vec<(u64, Vec<u8>)>),
-) -> Workload {
-    let (source, segments) = built;
-    Workload::from_source(name, description, paper, &source, segments)
+    build: Build,
 }
 
-/// Builds the full nine-workload suite, in [`NAMES`] order.
-pub fn all() -> Vec<Workload> {
-    use profile::WorkloadClass::*;
-    let p = |class,
-             base_ipc,
-             mispredict_interval,
-             min_stable_interval,
-             instability_at_10k,
-             distant_ilp| PaperProfile {
+impl Kernel {
+    /// Generates, assembles and packages this kernel.
+    fn workload(&self) -> Workload {
+        let (source, segments) = (self.build)();
+        Workload::from_source(self.name, self.description, self.paper, &source, segments)
+    }
+}
+
+const fn profile(
+    class: WorkloadClass,
+    base_ipc: f64,
+    mispredict_interval: u32,
+    min_stable_interval: u64,
+    instability_at_10k: f64,
+    distant_ilp: bool,
+) -> PaperProfile {
+    PaperProfile {
         class,
         base_ipc,
         mispredict_interval,
         min_stable_interval,
         instability_at_10k,
         distant_ilp,
-    };
-    vec![
-        make(
-            "cjpeg",
-            "forward-DCT butterflies with data-dependent quantisation",
-            p(Mediabench, 2.06, 82, 40_000, 9.0, false),
-            kernels::cjpeg::build(),
-        ),
-        make(
-            "crafty",
-            "bitboard evaluation with data-dependent loops and calls",
-            p(SpecInt, 1.85, 118, 320_000, 30.0, false),
-            kernels::crafty::build(),
-        ),
-        make(
-            "djpeg",
-            "blocked inverse-DCT butterflies (distant ILP across blocks)",
-            p(Mediabench, 4.07, 249, 1_280_000, 31.0, true),
-            kernels::djpeg::build(),
-        ),
-        make(
-            "galgel",
-            "dense matrix-vector products with value-dependent censuses",
-            p(SpecFp, 3.43, 88, 10_000, 1.0, true),
-            kernels::galgel::build(),
-        ),
-        make(
-            "gzip",
-            "LZ77 hash matching over alternating compressible regions",
-            p(SpecInt, 1.83, 87, 10_000, 4.0, false),
-            kernels::gzip::build(),
-        ),
-        make(
-            "mgrid",
-            "7-point stencil relaxation over a 3-D grid",
-            p(SpecFp, 2.28, 8_977, 10_000, 0.0, true),
-            kernels::mgrid::build(),
-        ),
-        make(
-            "parser",
-            "hash-bucket dictionary lookups over scattered linked lists",
-            p(SpecInt, 1.42, 88, 40_000_000, 12.0, false),
-            kernels::parser::build(),
-        ),
-        make(
-            "swim",
-            "streaming shallow-water stencil passes",
-            p(SpecFp, 1.67, 22_600, 10_000, 0.0, true),
-            kernels::swim::build(),
-        ),
-        make(
-            "vpr",
-            "annealing-style random cell swaps over a placement grid",
-            p(SpecInt, 1.20, 171, 320_000, 14.0, false),
-            kernels::vpr::build(),
-        ),
-    ]
+    }
 }
 
-/// Builds one workload by name, or `None` for an unknown name.
+/// The kernel table, in [`NAMES`] order. Building a kernel generates
+/// its input data and assembles its source, so only the kernels a
+/// caller asks for are built.
+const KERNELS: [Kernel; 9] = {
+    use WorkloadClass::*;
+    [
+        Kernel {
+            name: "cjpeg",
+            description: "forward-DCT butterflies with data-dependent quantisation",
+            paper: profile(Mediabench, 2.06, 82, 40_000, 9.0, false),
+            build: kernels::cjpeg::build,
+        },
+        Kernel {
+            name: "crafty",
+            description: "bitboard evaluation with data-dependent loops and calls",
+            paper: profile(SpecInt, 1.85, 118, 320_000, 30.0, false),
+            build: kernels::crafty::build,
+        },
+        Kernel {
+            name: "djpeg",
+            description: "blocked inverse-DCT butterflies (distant ILP across blocks)",
+            paper: profile(Mediabench, 4.07, 249, 1_280_000, 31.0, true),
+            build: kernels::djpeg::build,
+        },
+        Kernel {
+            name: "galgel",
+            description: "dense matrix-vector products with value-dependent censuses",
+            paper: profile(SpecFp, 3.43, 88, 10_000, 1.0, true),
+            build: kernels::galgel::build,
+        },
+        Kernel {
+            name: "gzip",
+            description: "LZ77 hash matching over alternating compressible regions",
+            paper: profile(SpecInt, 1.83, 87, 10_000, 4.0, false),
+            build: kernels::gzip::build,
+        },
+        Kernel {
+            name: "mgrid",
+            description: "7-point stencil relaxation over a 3-D grid",
+            paper: profile(SpecFp, 2.28, 8_977, 10_000, 0.0, true),
+            build: kernels::mgrid::build,
+        },
+        Kernel {
+            name: "parser",
+            description: "hash-bucket dictionary lookups over scattered linked lists",
+            paper: profile(SpecInt, 1.42, 88, 40_000_000, 12.0, false),
+            build: kernels::parser::build,
+        },
+        Kernel {
+            name: "swim",
+            description: "streaming shallow-water stencil passes",
+            paper: profile(SpecFp, 1.67, 22_600, 10_000, 0.0, true),
+            build: kernels::swim::build,
+        },
+        Kernel {
+            name: "vpr",
+            description: "annealing-style random cell swaps over a placement grid",
+            paper: profile(SpecInt, 1.20, 171, 320_000, 14.0, false),
+            build: kernels::vpr::build,
+        },
+    ]
+};
+
+/// Builds the full nine-workload suite, in [`NAMES`] order.
+pub fn all() -> Vec<Workload> {
+    KERNELS.iter().map(Kernel::workload).collect()
+}
+
+/// Builds the one workload `name` names, or `None` for an unknown
+/// name. Only that kernel's data is generated and its source
+/// assembled, so a lookup costs one kernel build, not the suite's.
 pub fn by_name(name: &str) -> Option<Workload> {
-    all().into_iter().find(|w| w.name == name)
+    KERNELS.iter().find(|k| k.name == name).map(Kernel::workload)
 }
 
 #[cfg(test)]
@@ -227,9 +259,11 @@ mod tests {
     }
 
     #[test]
+    /// A lookup builds the same workload as the suite's entry: name,
+    /// description, paper profile, program and segments.
     fn by_name_round_trip() {
-        for name in NAMES {
-            assert_eq!(by_name(name).unwrap().name(), name);
+        for (name, w) in NAMES.into_iter().zip(all()) {
+            assert_eq!(by_name(name), Some(w), "{name}");
         }
         assert!(by_name("perlbmk").is_none());
     }

@@ -71,6 +71,25 @@ CLUSTERED_MEASURE=20000 CLUSTERED_WARMUP=2000 \
     ./target/release/experiments fig3 --decisions "$CI_TMP/dec" > /dev/null
 test "$(wc -l < "$CI_TMP/dec/fig3/gzip-16.jsonl")" -gt 1
 
+echo "==> sweep heartbeat smoke (CLUSTERED_PROGRESS JSONL stream)"
+# Every completed fig3 point appends one `point` heartbeat. Its
+# trace_checksum is hashed on demand from the capture the point
+# replays, so it must be non-zero, and one kernel's five widths, which
+# replay one capture, must carry one value.
+CLUSTERED_PROGRESS="$CI_TMP/hb.jsonl" CLUSTERED_MEASURE=20000 CLUSTERED_WARMUP=2000 \
+    ./target/release/experiments fig3 > /dev/null
+checksums() {
+    grep "\"event\":\"point\".*$1" "$CI_TMP/hb.jsonl" |
+        sed 's/.*"trace_checksum":\([0-9]*\).*/\1/'
+}
+test "$(checksums '' | wc -l)" -eq 45
+if checksums '' | grep -qvE '^[1-9][0-9]*$'; then
+    echo "a heartbeat lacks a non-zero trace_checksum" >&2
+    exit 1
+fi
+test "$(checksums '"label":"gzip/' | wc -l)" -eq 5
+test "$(checksums '"label":"gzip/' | sort -u | wc -l)" -eq 1
+
 echo "==> explain smoke (decision telemetry end to end)"
 # One short run per policy family plus a JSONL dump: `explain` must
 # render a timeline and the dump must be non-empty.

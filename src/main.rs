@@ -331,15 +331,19 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
     }
     let audit_doc = auditor.map(|a| a.to_json());
-    let prov = Provenance::new(
-        workload_name.as_str(),
-        Some(trace.checksum()),
-        cfg.digest(),
-        policy_name.as_str(),
-    )
-    .with_wall_seconds(wall.elapsed().as_secs_f64());
+    // Only --json and --ledger store the provenance, so only they pay
+    // for hashing the trace.
+    let prov = (flags.has("json") || flags.has("ledger")).then(|| {
+        Provenance::new(
+            workload_name.as_str(),
+            Some(trace.checksum()),
+            cfg.digest(),
+            policy_name.as_str(),
+        )
+        .with_wall_seconds(wall.elapsed().as_secs_f64())
+    });
 
-    if flags.has("json") {
+    if let Some(prov) = prov.as_ref().filter(|_| flags.has("json")) {
         // Run metadata first, then every counter and derived rate from
         // the exhaustive SimStats export; the whole document rides in
         // the {schema_version, provenance, data} envelope shared by
@@ -368,7 +372,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         if let Some(a) = &audit_doc {
             doc = doc.set("audit", a.clone());
         }
-        println!("{}", envelope(&prov, doc).to_string_pretty());
+        println!("{}", envelope(prov, doc).to_string_pretty());
     } else {
         println!("workload            {workload_name}");
         println!("policy              {policy_name}");
@@ -427,10 +431,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             e.per_instruction(&s)
         );
     }
-    if flags.has("ledger") {
+    if let Some(prov) = prov.filter(|_| flags.has("ledger")) {
         let path = PathBuf::from(flags.get("ledger").unwrap_or(DEFAULT_LEDGER_PATH));
         let entry = LedgerEntry {
-            provenance: prov.clone(),
+            provenance: prov,
             metrics: Json::object()
                 .set("ipc", s.ipc())
                 .set("cycles", s.cycles)
@@ -439,7 +443,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         append_entry(&path, &entry)
             .map_err(|e| format!("cannot append to ledger `{}`: {e}", path.display()))?;
         if !flags.has("json") {
-            println!("ledger              {} (run {})", path.display(), prov.run_id);
+            println!("ledger              {} (run {})", path.display(), entry.provenance.run_id);
         }
     }
     Ok(())

@@ -563,6 +563,16 @@ fn diff_requires_two_readable_artifacts() {
     let out = clustered(&["diff", "/nonexistent/a.json", "/nonexistent/b.json"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("cannot read"), "{}", stderr(&out));
+    // A 50 000-deep array is rejected at the parser's depth cap, not
+    // by overflowing the stack.
+    let dir = std::env::temp_dir().join("clustered_cli_diff_depth_test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(50_000)).expect("write deep file");
+    let deep = deep.to_str().expect("utf-8");
+    let out = clustered(&["diff", deep, deep]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("nesting deeper than 128 levels"), "{}", stderr(&out));
 }
 
 /// `run --ledger` appends provenance + headline metrics; `report`
