@@ -32,7 +32,7 @@ use clustered_sim::{
     ReconfigPolicy, SimConfig, SimStats, SteeringKind, Topology,
 };
 use clustered_stats::{geometric_mean, percent_change, Json, Provenance, Table};
-use clustered_workloads::{CapturedTrace, NAMES};
+use clustered_workloads::{catalog, CapturedTrace, NAMES};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -199,24 +199,19 @@ fn sanitize_label(label: &str) -> String {
 }
 
 fn run_one(point: &SweepPoint, record_interval: Option<u64>, decisions: bool) -> PointResult {
-    let timeline = |base| Timeline::new(base, (point.policy)().initial_clusters());
-    let (stats, intervals, decisions) = match (record_interval, decisions) {
-        (None, false) => (run_point(point), Vec::new(), Vec::new()),
-        (None, true) => {
-            let run = run_point_as(point, DecisionTrace::new());
-            (run.stats, Vec::new(), run.observer.into_decisions().0)
-        }
-        (Some(base), false) => {
-            let run = run_point_as(point, timeline(base));
-            (run.stats, run.observer.records(), Vec::new())
-        }
-        (Some(base), true) => {
-            let run = run_point_as(point, (DecisionTrace::new(), timeline(base)));
-            let (decisions, timeline) = run.observer;
-            (run.stats, timeline.records(), decisions.into_decisions().0)
-        }
+    let (stats, (decisions, timeline)) = if record_interval.is_none() && !decisions {
+        (run_point(point), (None, None))
+    } else {
+        let timeline =
+            record_interval.map(|base| Timeline::new(base, (point.policy)().initial_clusters()));
+        let run = run_point_as(point, (decisions.then(DecisionTrace::new), timeline));
+        (run.stats, run.observer)
     };
-    PointResult { stats, intervals, decisions }
+    PointResult {
+        stats,
+        intervals: timeline.map_or_else(Vec::new, |t| t.records()),
+        decisions: decisions.map_or_else(Vec::new, |d| d.into_decisions().0),
+    }
 }
 
 /// An experiment without interval recording.
@@ -615,13 +610,12 @@ fn table3(window: Window, runs: &[PointResult]) -> Report {
         "branch %",
     ]);
     let mut docs = Vec::new();
-    for (w, run) in clustered_workloads::all().iter().zip(runs) {
-        let s = &run.stats;
-        let paper = w.paper();
+    for (k, run) in catalog().iter().zip(runs) {
+        let (s, paper) = (&run.stats, k.paper);
         let memref_pct = 100.0 * s.memrefs as f64 / s.committed as f64;
         let branch_pct = 100.0 * s.branches as f64 / s.committed as f64;
         table.row(&[
-            w.name().to_string(),
+            k.name.to_string(),
             paper.class.suite_name().to_string(),
             format!("{:.2}", s.ipc()),
             format!("{:.2}", paper.base_ipc),
@@ -632,7 +626,7 @@ fn table3(window: Window, runs: &[PointResult]) -> Report {
         ]);
         docs.push(
             Json::object()
-                .set("name", w.name())
+                .set("name", k.name)
                 .set("suite", paper.class.suite_name())
                 .set("ipc", s.ipc())
                 .set("paper_ipc", paper.base_ipc)
@@ -714,13 +708,13 @@ fn table4(window: Window, runs: &[PointResult]) -> Report {
         "paper @10K",
     ]);
     let skip = (window.warmup / TABLE4_BASE_INTERVAL) as usize;
-    for (w, run) in clustered_workloads::all().iter().zip(runs) {
+    for (k, run) in catalog().iter().zip(runs) {
         let records = &run.intervals[skip.min(run.intervals.len())..];
         let base_factor = instability_factor(records, 1).unwrap_or(f64::NAN);
         let [min_len, min_factor] = min_interval_cells(records);
-        let paper = w.paper();
+        let paper = k.paper;
         table.row(&[
-            w.name().to_string(),
+            k.name.to_string(),
             min_len,
             min_factor,
             format!("{base_factor:.0}%"),

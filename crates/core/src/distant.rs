@@ -7,8 +7,10 @@
 //! needed, it reacts quickly, making small intervals (1K instructions)
 //! meaningful — at the cost of noisier measurements.
 
-use crate::phase::{ipc_changed, metrics_changed, IntervalCounter, IntervalRecord};
-use clustered_sim::{CommitEvent, DecisionReason, DecisionRecord, PolicyState, ReconfigPolicy};
+use crate::phase::{ipc_changed, metrics_changed, IntervalRecord};
+use clustered_sim::{
+    CommitEvent, DecisionReason, DecisionRecord, IntervalCounter, PolicyState, ReconfigPolicy,
+};
 
 /// Tunables of [`IntervalDistantIlp`], defaults per the paper.
 #[derive(Debug, Clone, Copy, PartialEq)]

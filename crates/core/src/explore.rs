@@ -12,8 +12,10 @@
 //! algorithm turns itself off, pinned at the most popular
 //! configuration.
 
-use crate::phase::{ipc_changed, metrics_changed, IntervalCounter, IntervalRecord};
-use clustered_sim::{CommitEvent, DecisionReason, DecisionRecord, PolicyState, ReconfigPolicy};
+use crate::phase::{ipc_changed, metrics_changed, IntervalRecord};
+use clustered_sim::{
+    CommitEvent, DecisionReason, DecisionRecord, IntervalCounter, PolicyState, ReconfigPolicy,
+};
 
 /// Tunables of [`IntervalExplore`], with the paper's values as
 /// defaults.

@@ -5,10 +5,13 @@
 //! microarchitecture-independent metrics (branches and memory
 //! references) and its IPC describe the program phase it ran in:
 //!
-//! * `IntervalCounter` counts one interval's commits and closes it
-//!   into an [`IntervalRecord`]. [`IntervalExplore`](crate::IntervalExplore),
+//! * [`IntervalCounter`] counts one interval's commits and closes it
+//!   into an [`IntervalRecord`]. It lives beside `CommitEvent` in
+//!   `clustered-sim`, so [`FixedPolicy`](clustered_sim::FixedPolicy)'s
+//!   checkpoints count through it as
+//!   [`IntervalExplore`](crate::IntervalExplore),
 //!   [`IntervalDistantIlp`](crate::IntervalDistantIlp) and [`Timeline`]
-//!   all count through it.
+//!   do.
 //! * `metrics_changed` and `ipc_changed` are Figure 4's phase-change
 //!   test, used by both interval policies and by
 //!   [`instability_factor`].
@@ -21,7 +24,9 @@
 //!   [`FixedPolicy`](clustered_sim::FixedPolicy) run collects the
 //!   records they read.
 
-use clustered_sim::{CommitEvent, SimObserver};
+use clustered_sim::{CommitEvent, IntervalCounter, SimObserver};
+
+pub use clustered_sim::IntervalRecord;
 
 /// A branch or memref count that moves by more than
 /// `interval_length / METRIC_DIVISOR` is a significant change.
@@ -29,72 +34,6 @@ const METRIC_DIVISOR: u64 = 100;
 
 /// A relative IPC deviation above this is a significant change.
 const IPC_NOISE: f64 = 0.10;
-
-/// Metrics of one interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IntervalRecord {
-    /// Committed instructions (the interval length).
-    pub instructions: u64,
-    /// Cycles the interval took.
-    pub cycles: u64,
-    /// Committed control transfers.
-    pub branches: u64,
-    /// Committed loads + stores.
-    pub memrefs: u64,
-}
-
-impl IntervalRecord {
-    /// The interval's IPC.
-    pub fn ipc(&self) -> f64 {
-        self.instructions as f64 / self.cycles.max(1) as f64
-    }
-
-    fn merge(&mut self, other: &IntervalRecord) {
-        self.instructions += other.instructions;
-        self.cycles += other.cycles;
-        self.branches += other.branches;
-        self.memrefs += other.memrefs;
-    }
-}
-
-/// Counts the commits of one interval.
-///
-/// An interval starts at the cycle the previous one closed. A fresh
-/// counter (start cycle 0, nothing counted) starts at the cycle of its
-/// first commit instead.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct IntervalCounter {
-    start_cycle: u64,
-    counts: IntervalRecord,
-}
-
-impl IntervalCounter {
-    /// Counts one committed instruction.
-    #[inline]
-    pub(crate) fn count(&mut self, event: &CommitEvent) {
-        if self.counts.instructions == 0 && self.start_cycle == 0 {
-            self.start_cycle = event.cycle;
-        }
-        self.counts.instructions += 1;
-        self.counts.branches += u64::from(event.is_branch);
-        self.counts.memrefs += u64::from(event.is_memref);
-    }
-
-    /// Instructions counted so far.
-    pub(crate) fn instructions(&self) -> u64 {
-        self.counts.instructions
-    }
-
-    /// Ends the interval at cycle `now`, returning the cycle it
-    /// started and its record (at least one cycle long), and starts the
-    /// next one there.
-    pub(crate) fn close(&mut self, now: u64) -> (u64, IntervalRecord) {
-        let start = self.start_cycle;
-        let record = IntervalRecord { cycles: now.saturating_sub(start).max(1), ..self.counts };
-        *self = IntervalCounter { start_cycle: now, counts: IntervalRecord::default() };
-        (start, record)
-    }
-}
 
 /// Figure 4's metric test: `interval` differs from `reference` when
 /// its branch or memref count moves by more than
@@ -225,11 +164,12 @@ pub fn instability_factor(records: &[IntervalRecord], group: usize) -> Option<f6
     let grouped: Vec<IntervalRecord> = records
         .chunks_exact(group)
         .map(|chunk| {
-            let mut merged = IntervalRecord::default();
-            for r in chunk {
-                merged.merge(r);
-            }
-            merged
+            chunk.iter().fold(IntervalRecord::default(), |sum, r| IntervalRecord {
+                instructions: sum.instructions + r.instructions,
+                cycles: sum.cycles + r.cycles,
+                branches: sum.branches + r.branches,
+                memrefs: sum.memrefs + r.memrefs,
+            })
         })
         .collect();
     if grouped.len() < 2 {

@@ -90,7 +90,8 @@ pub use observe::{
 };
 pub use pipeline::{drive, Processor, Run, SimError};
 pub use reconfig::{
-    CommitEvent, FixedPolicy, ReconfigPolicy, DISTANT_DEPTH, FIXED_CHECKPOINT_COMMITS,
+    CommitEvent, FixedPolicy, IntervalCounter, IntervalRecord, ReconfigPolicy, DISTANT_DEPTH,
+    FIXED_CHECKPOINT_COMMITS,
 };
 pub use slots::SlotReservations;
 pub use stats::SimStats;

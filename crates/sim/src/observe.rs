@@ -25,6 +25,8 @@
 //! forwards every hook to `A` and then to `B`, and opts into each
 //! `WANTS_*` gate either half asks for. `clustered trace` runs
 //! `((ReconfigLog, DecisionTrace), Timeline)`; nest pairs for more.
+//! An `Option<O>` is an observer picked at run time: it forwards to
+//! the `O` it holds and keeps `O`'s gates.
 
 use crate::decision::DecisionRecord;
 use crate::reconfig::CommitEvent;
@@ -162,6 +164,24 @@ pub struct NullObserver;
 
 impl SimObserver for NullObserver {}
 
+/// Expands `$forward!` over every hook's signature, so the pair and
+/// `Option` impls below share one hook list.
+macro_rules! with_every_hook {
+    ($forward:ident) => {
+        $forward! {
+            on_measure_start();
+            on_commit(event: &CommitEvent, request: Option<usize>);
+            on_reconfig(cycle: u64, from: usize, to: usize);
+            on_flush_stall(cycle: u64, stall_cycles: u64, writebacks: u64);
+            on_decision(decision: &DecisionRecord);
+            on_stage_nanos(nanos: &[u64; crate::host::HOST_STAGE_COUNT]);
+            on_queue_health(sample: &crate::host::QueueHealth);
+            on_event_drained(cluster: usize);
+            on_audit(check: &crate::audit::AuditCheck<'_>);
+        }
+    };
+}
+
 /// Forwards each listed hook to both halves of a pair, `.0` first.
 macro_rules! forward_to_both {
     ($($hook:ident($($arg:ident: $ty:ty),*);)*) => {$(
@@ -169,6 +189,18 @@ macro_rules! forward_to_both {
         fn $hook(&mut self, $($arg: $ty),*) {
             self.0.$hook($($arg),*);
             self.1.$hook($($arg),*);
+        }
+    )*};
+}
+
+/// Forwards each listed hook to the observer inside a `Some`.
+macro_rules! forward_if_some {
+    ($($hook:ident($($arg:ident: $ty:ty),*);)*) => {$(
+        #[inline(always)]
+        fn $hook(&mut self, $($arg: $ty),*) {
+            if let Some(inner) = self {
+                inner.$hook($($arg),*);
+            }
         }
     )*};
 }
@@ -181,17 +213,21 @@ impl<A: SimObserver, B: SimObserver> SimObserver for (A, B) {
     const WANTS_HOST_PROFILE: bool = A::WANTS_HOST_PROFILE || B::WANTS_HOST_PROFILE;
     const WANTS_AUDIT: bool = A::WANTS_AUDIT || B::WANTS_AUDIT;
 
-    forward_to_both! {
-        on_measure_start();
-        on_commit(event: &CommitEvent, request: Option<usize>);
-        on_reconfig(cycle: u64, from: usize, to: usize);
-        on_flush_stall(cycle: u64, stall_cycles: u64, writebacks: u64);
-        on_decision(decision: &DecisionRecord);
-        on_stage_nanos(nanos: &[u64; crate::host::HOST_STAGE_COUNT]);
-        on_queue_health(sample: &crate::host::QueueHealth);
-        on_event_drained(cluster: usize);
-        on_audit(check: &crate::audit::AuditCheck<'_>);
-    }
+    with_every_hook!(forward_to_both);
+}
+
+/// An observer chosen at run time: `Some(o)` watches as `o` does and
+/// `None` watches nothing. The gates are `O`'s whichever it holds,
+/// because they are constants: a `None` still makes the pipeline
+/// assemble what `O` opted into and only drops it at the hook. Wrap
+/// only observers whose gates are off or cheap, and pick between
+/// types when a gate is costly (an [`AuditObserver`](crate::AuditObserver)).
+impl<O: SimObserver> SimObserver for Option<O> {
+    const WANTS_DECISIONS: bool = O::WANTS_DECISIONS;
+    const WANTS_HOST_PROFILE: bool = O::WANTS_HOST_PROFILE;
+    const WANTS_AUDIT: bool = O::WANTS_AUDIT;
+
+    with_every_hook!(forward_if_some);
 }
 
 /// One recorded active-cluster change.

@@ -35,6 +35,69 @@ pub struct CommitEvent {
     pub mispredicted: bool,
 }
 
+/// Metrics of one interval of committed instructions (paper §4.1,
+/// Figure 4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct IntervalRecord {
+    /// Committed instructions (the interval length).
+    pub instructions: u64,
+    /// Cycles the interval took.
+    pub cycles: u64,
+    /// Committed control transfers.
+    pub branches: u64,
+    /// Committed loads + stores.
+    pub memrefs: u64,
+}
+
+impl IntervalRecord {
+    /// The interval's IPC.
+    pub fn ipc(&self) -> f64 {
+        self.instructions as f64 / self.cycles.max(1) as f64
+    }
+}
+
+/// Counts the commits of one interval: the one interval accumulator
+/// behind [`FixedPolicy`]'s checkpoints, the interval policies of
+/// `clustered-core` and its per-interval `Timeline`.
+///
+/// An interval starts at the cycle the previous one closed. A fresh
+/// counter (start cycle 0, nothing counted) starts at the cycle of its
+/// first commit instead.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IntervalCounter {
+    start_cycle: u64,
+    counts: IntervalRecord,
+}
+
+impl IntervalCounter {
+    /// Counts one committed instruction.
+    #[inline]
+    pub fn count(&mut self, event: &CommitEvent) {
+        if self.counts.instructions == 0 && self.start_cycle == 0 {
+            self.start_cycle = event.cycle;
+        }
+        self.counts.instructions += 1;
+        self.counts.branches += u64::from(event.is_branch);
+        self.counts.memrefs += u64::from(event.is_memref);
+    }
+
+    /// Instructions counted so far.
+    #[inline]
+    pub fn instructions(&self) -> u64 {
+        self.counts.instructions
+    }
+
+    /// Ends the interval at cycle `now`, returning the cycle it
+    /// started and its record (at least one cycle long), and starts the
+    /// next one there.
+    pub fn close(&mut self, now: u64) -> (u64, IntervalRecord) {
+        let start = self.start_cycle;
+        let record = IntervalRecord { cycles: now.saturating_sub(start).max(1), ..self.counts };
+        *self = IntervalCounter { start_cycle: now, counts: IntervalRecord::default() };
+        (start, record)
+    }
+}
+
 /// The window depth beyond which an issuing instruction counts as
 /// *distant* ILP (paper §4.3: 120 instructions, the capacity of four
 /// clusters).
@@ -85,14 +148,8 @@ pub const FIXED_CHECKPOINT_COMMITS: u64 = 10_000;
 pub struct FixedPolicy {
     clusters: usize,
     interval: u64,
-    committed: u64,
-    interval_committed: u64,
-    start_cycle: u64,
-    branches: u64,
-    memrefs: u64,
-    prev_branches: u64,
-    prev_memrefs: u64,
-    have_prev: bool,
+    counter: IntervalCounter,
+    previous: Option<IntervalRecord>,
     last_decision: Option<DecisionRecord>,
 }
 
@@ -107,14 +164,8 @@ impl FixedPolicy {
         FixedPolicy {
             clusters,
             interval: 0,
-            committed: 0,
-            interval_committed: 0,
-            start_cycle: 0,
-            branches: 0,
-            memrefs: 0,
-            prev_branches: 0,
-            prev_memrefs: 0,
-            have_prev: false,
+            counter: IntervalCounter::default(),
+            previous: None,
             last_decision: None,
         }
     }
@@ -130,35 +181,21 @@ impl ReconfigPolicy for FixedPolicy {
     }
 
     fn on_commit(&mut self, event: &CommitEvent) -> Option<usize> {
-        if self.interval_committed == 0 {
-            self.start_cycle = event.cycle;
-        }
-        self.committed += 1;
-        self.interval_committed += 1;
-        if event.is_branch {
-            self.branches += 1;
-        }
-        if event.is_memref {
-            self.memrefs += 1;
-        }
-        if self.interval_committed == FIXED_CHECKPOINT_COMMITS {
+        self.counter.count(event);
+        if self.counter.instructions() == FIXED_CHECKPOINT_COMMITS {
             self.interval += 1;
-            let cycles = (event.cycle - self.start_cycle).max(1);
-            let (branch_delta, memref_delta) = if self.have_prev {
-                (
-                    self.branches as i64 - self.prev_branches as i64,
-                    self.memrefs as i64 - self.prev_memrefs as i64,
-                )
-            } else {
-                (0, 0)
-            };
+            let (start_cycle, record) = self.counter.close(event.cycle);
+            let delta = |now: u64, then: u64| now as i64 - then as i64;
+            let (branch_delta, memref_delta) = self.previous.map_or((0, 0), |p| {
+                (delta(record.branches, p.branches), delta(record.memrefs, p.memrefs))
+            });
             self.last_decision = Some(DecisionRecord {
                 interval: self.interval,
-                commit: self.committed,
-                start_cycle: self.start_cycle,
+                commit: self.interval * FIXED_CHECKPOINT_COMMITS,
+                start_cycle,
                 cycle: event.cycle,
                 state: PolicyState::Stable,
-                ipc: self.interval_committed as f64 / cycles as f64,
+                ipc: record.ipc(),
                 branch_delta,
                 memref_delta,
                 instability: 0.0,
@@ -167,12 +204,7 @@ impl ReconfigPolicy for FixedPolicy {
                 clusters: self.clusters,
                 reason: DecisionReason::FixedBaseline,
             });
-            self.prev_branches = self.branches;
-            self.prev_memrefs = self.memrefs;
-            self.have_prev = true;
-            self.branches = 0;
-            self.memrefs = 0;
-            self.interval_committed = 0;
+            self.previous = Some(record);
         }
         None
     }
@@ -237,6 +269,30 @@ mod tests {
         // stream has (near-)zero deltas.
         assert!(decisions[1].branch_delta.abs() <= 1);
         assert!(decisions[1].memref_delta.abs() <= 1);
+    }
+
+    #[test]
+    fn fixed_checkpoints_chain_from_one_close_to_the_next() {
+        let mut p = FixedPolicy::new(4);
+        let mut decisions = Vec::new();
+        for seq in 0..(3 * FIXED_CHECKPOINT_COMMITS) {
+            let mut e = commit_template();
+            e.seq = seq;
+            // Two commits a cycle from cycle 7: each checkpoint closes
+            // on a cycle's last commit, so the next one's first commit
+            // comes a cycle later.
+            e.cycle = 7 + seq / 2;
+            p.on_commit(&e);
+            decisions.extend(p.take_decision());
+        }
+        assert_eq!(decisions.len(), 3);
+        assert_eq!(decisions[0].start_cycle, 7, "the first checkpoint starts at its first commit");
+        for pair in decisions.windows(2) {
+            assert_eq!(pair[1].start_cycle, pair[0].cycle, "checkpoint {}", pair[1].interval);
+        }
+        let covered = decisions[2].cycle - decisions[0].start_cycle;
+        let summed: u64 = decisions.iter().map(|d| d.cycle - d.start_cycle).sum();
+        assert_eq!(summed, covered, "no cycle between checkpoints goes uncounted");
     }
 
     #[test]

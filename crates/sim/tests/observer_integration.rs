@@ -178,3 +178,36 @@ fn observed_and_unobserved_runs_are_identical() {
     assert!(!decided.observer.decisions().is_empty(), "fixed-8 checkpoints every 10k commits");
     assert_eq!(traced.observer.1.decisions(), decided.observer.decisions());
 }
+
+/// An `Option` observer watches as what it holds does, and an empty
+/// one leaves the run as `NullObserver` does.
+#[test]
+fn optional_observers_watch_as_their_contents_do() {
+    let plain = drive_gzip(NullObserver);
+    assert_eq!(drive_gzip(None::<DecisionTrace>).stats, plain.stats);
+    // An empty auditor still turns the audit gate on; the run is the same.
+    assert_eq!(drive_gzip(None::<AuditObserver>).stats, plain.stats);
+
+    let bare = drive_gzip(DecisionTrace::new());
+    let optional = drive_gzip(Some(DecisionTrace::new()));
+    assert_eq!(optional.stats, bare.stats);
+    let optional = optional.observer.expect("still Some");
+    assert!(!bare.observer.decisions().is_empty(), "fixed-8 checkpoints every 10k commits");
+    assert_eq!(optional.decisions(), bare.observer.decisions());
+    assert_eq!(optional.dropped(), bare.observer.dropped());
+
+    // Decentralized oscillation, so the log holds reconfigurations and
+    // flushes.
+    let mut cfg = SimConfig::default();
+    cfg.cache.model = CacheModel::Decentralized;
+    let bare = drive_oscillating(cfg, ReconfigLog::new());
+    let mixed = drive_oscillating(cfg, (None::<DecisionTrace>, Some(ReconfigLog::new())));
+    assert_eq!(mixed.stats, bare.stats);
+    let (decisions, log) = mixed.observer;
+    assert!(decisions.is_none());
+    let log = log.expect("still Some");
+    assert!(!bare.observer.flushes.is_empty(), "the policy reconfigured");
+    assert_eq!(log.reconfigs, bare.observer.reconfigs);
+    assert_eq!(log.flushes, bare.observer.flushes);
+    assert_eq!(log.dropped_reconfigs(), bare.observer.dropped_reconfigs());
+}

@@ -138,10 +138,14 @@ type Build = fn() -> (String, Vec<(u64, Vec<u8>)>);
 
 /// One built-in kernel: what [`Workload`] records about it, and the
 /// generator of its source and input segments.
-struct Kernel {
-    name: &'static str,
-    description: &'static str,
-    paper: PaperProfile,
+#[derive(Debug)]
+pub struct Kernel {
+    /// The workload's name, as in [`NAMES`].
+    pub name: &'static str,
+    /// One-line description of what the kernel does.
+    pub description: &'static str,
+    /// The published profile of the benchmark it stands in for.
+    pub paper: PaperProfile,
     build: Build,
 }
 
@@ -234,6 +238,12 @@ const KERNELS: [Kernel; 9] = {
     ]
 };
 
+/// Every built-in kernel's name, description and paper profile, in
+/// [`NAMES`] order, without building any kernel.
+pub fn catalog() -> &'static [Kernel] {
+    &KERNELS
+}
+
 /// Builds the full nine-workload suite, in [`NAMES`] order.
 pub fn all() -> Vec<Workload> {
     KERNELS.iter().map(Kernel::workload).collect()
@@ -266,6 +276,16 @@ mod tests {
             assert_eq!(by_name(name), Some(w), "{name}");
         }
         assert!(by_name("perlbmk").is_none());
+    }
+
+    /// The catalog describes, entry by entry, the workloads `all` builds.
+    #[test]
+    fn catalog_agrees_with_the_built_suite() {
+        let suite = all();
+        assert_eq!(catalog().len(), suite.len());
+        for (k, w) in catalog().iter().zip(&suite) {
+            assert_eq!((k.name, k.description, k.paper), (w.name(), w.description(), w.paper()));
+        }
     }
 
     /// Every kernel must run indefinitely without halting or faulting.

@@ -70,6 +70,16 @@ echo "==> experiments --decisions smoke (sweep points with a decision observer)"
 CLUSTERED_MEASURE=20000 CLUSTERED_WARMUP=2000 \
     ./target/release/experiments fig3 --decisions "$CI_TMP/dec" > /dev/null
 test "$(wc -l < "$CI_TMP/dec/fig3/gzip-16.jsonl")" -gt 1
+# The fixed policy counts through the shared interval counter, so its
+# checkpoints chain: each starts at the cycle where the previous one
+# closed. The window holds two checkpoints, hence one link per point.
+# Every point is checked because some kernels (gzip) chain under any
+# start rule; crafty's chain only under the shared counter.
+for trace in "$CI_TMP"/dec/fig3/*.jsonl; do
+    sed -n 's/.*"start_cycle":\([0-9]*\),"cycle":\([0-9]*\),.*/\1 \2/p' "$trace" |
+        awk 'NR > 1 && $1 != closed { broken = 1 } { closed = $2 } END { exit broken || NR < 2 }' ||
+        { echo "fixed checkpoints do not chain in $trace" >&2; exit 1; }
+done
 
 echo "==> sweep heartbeat smoke (CLUSTERED_PROGRESS JSONL stream)"
 # Every completed fig3 point appends one `point` heartbeat. Its

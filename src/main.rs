@@ -19,8 +19,8 @@ use clustered::policies::{
 use clustered::sim::{
     drive, estimate_energy, AuditObserver, CacheModel, DecisionReason, DecisionRecord,
     DecisionTrace, EnergyParams, FixedPolicy, HostProfiler, HostStage, NullObserver, PolicyState,
-    ReconfigLog, ReconfigPolicy, SimConfig, SteeringKind, Topology, DEFAULT_EVENT_CAP,
-    DEFAULT_SAMPLE_INTERVAL,
+    ReconfigLog, ReconfigPolicy, SimConfig, SimObserver, SimStats, SteeringKind, Topology,
+    DEFAULT_EVENT_CAP, DEFAULT_SAMPLE_INTERVAL,
 };
 use clustered::stats::{
     append_entry, diff_docs, envelope, read_ledger, Json, LedgerEntry, LedgerReport, Provenance,
@@ -177,8 +177,94 @@ impl Flags {
     }
 }
 
-fn load_workload(flags: &Flags) -> Result<workloads::Workload, String> {
-    if let Some(path) = flags.get("program") {
+/// The flags of every verb that picks a machine and a policy: what
+/// runs, on which machine, for how long. Each verb adds its own.
+const SETUP_FLAGS: &[&str] = &[
+    "workload",
+    "program",
+    "policy",
+    "clusters",
+    "instructions",
+    "warmup",
+    "decentralized",
+    "grid",
+    "monolithic",
+];
+
+/// What a simulating verb runs: the program its flags name, the
+/// machine, the policy and the window. [`Setup::drive`] is the one run
+/// path of every simulating verb.
+struct Setup {
+    /// `--program FILE.s`; `workload` names a built-in kernel otherwise.
+    program: Option<String>,
+    workload: String,
+    cfg: SimConfig,
+    policy: Box<dyn ReconfigPolicy>,
+    warmup: u64,
+    instructions: u64,
+}
+
+/// Which instructions a run counts and observes.
+enum Span {
+    /// The measured window after the warm-up, as `run` and `perf`
+    /// report it.
+    Measured,
+    /// Warm-up and measured window together, from cycle 0: a timeline
+    /// with a hole at the front is more confusing than a marked one.
+    Whole,
+}
+
+/// A finished run and what its provenance names.
+struct Outcome {
+    stats: SimStats,
+    trace: workloads::CapturedTrace,
+    config_digest: u64,
+    policy: String,
+    measure_seconds: f64,
+}
+
+impl Outcome {
+    /// The run's provenance. Only outputs that store it call this, so
+    /// only they pay for hashing the trace.
+    fn provenance(&self) -> Provenance {
+        let checksum = Some(self.trace.checksum());
+        Provenance::new(self.trace.name(), checksum, self.config_digest, &self.policy)
+            .with_wall_seconds(self.measure_seconds)
+    }
+}
+
+impl Setup {
+    /// Parses `args` against [`SETUP_FLAGS`] plus the verb's `extra`
+    /// flags, and returns the flags for the verb to read its own.
+    fn parse(args: &[String], extra: &[&str]) -> Result<(Setup, Flags), String> {
+        let flags = Flags::parse(args, &[SETUP_FLAGS, extra].concat())?;
+        let cfg = build_config(&flags)?;
+        let policy = build_policy(&flags, &cfg)?;
+        Ok((Setup::new(&flags, cfg, policy)?, flags))
+    }
+
+    /// The window and program `flags` name, run on `cfg` under `policy`.
+    fn new(
+        flags: &Flags,
+        cfg: SimConfig,
+        policy: Box<dyn ReconfigPolicy>,
+    ) -> Result<Setup, String> {
+        Ok(Setup {
+            program: flags.get("program").map(str::to_string),
+            workload: flags.get("workload").unwrap_or("gzip").to_string(),
+            cfg,
+            policy,
+            instructions: flags.get_u64("instructions", 500_000)?,
+            warmup: flags.get_u64("warmup", 50_000)?,
+        })
+    }
+
+    fn load_workload(&self) -> Result<workloads::Workload, String> {
+        let Some(path) = &self.program else {
+            return workloads::by_name(&self.workload).ok_or_else(|| {
+                format!("unknown workload `{}`; try `clustered workloads`", self.workload)
+            });
+        };
         let source =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
         let paper = workloads::PaperProfile {
@@ -193,24 +279,36 @@ fn load_workload(flags: &Flags) -> Result<workloads::Workload, String> {
         // than a panic.
         isa::assemble(&source).map_err(|e| format!("{path}: {e}"))?;
         Ok(workloads::Workload::from_source(path, "user program", paper, &source, Vec::new()))
-    } else {
-        let name = flags.get("workload").unwrap_or("gzip");
-        workloads::by_name(name)
-            .ok_or_else(|| format!("unknown workload `{name}`; try `clustered workloads`"))
     }
-}
 
-/// The one capture path of every simulating verb: the workload the
-/// flags name, emulated once over `warmup + instructions` (plus the
-/// fetch margin) and held in memory for replay.
-fn capture(
-    flags: &Flags,
-    warmup: u64,
-    instructions: u64,
-) -> Result<workloads::CapturedTrace, String> {
-    let workload = load_workload(flags)?;
-    workloads::CapturedTrace::try_for_window(&workload, warmup, instructions)
-        .map_err(|e| format!("`{}` faulted during emulation: {e}", workload.name()))
+    /// Captures the program over the window, replays the capture's
+    /// compiled form under the policy with `observer` watching, and
+    /// hands back the run and the observer. A measured run whose
+    /// program ends inside the warm-up is an error: it measured nothing.
+    fn drive<O: SimObserver>(self, observer: O, span: Span) -> Result<(Outcome, O), String> {
+        let workload = self.load_workload()?;
+        let trace =
+            workloads::CapturedTrace::try_for_window(&workload, self.warmup, self.instructions)
+                .map_err(|e| format!("`{}` faulted during emulation: {e}", workload.name()))?;
+        let (warmup, measure) = match span {
+            Span::Measured => (self.warmup, self.instructions),
+            Span::Whole => (0, self.warmup + self.instructions),
+        };
+        let (config_digest, policy) = (self.cfg.digest(), self.policy.name());
+        let stream = trace.compile().replay();
+        let steering = SteeringKind::default();
+        let run = drive(self.cfg, stream, self.policy, steering, observer, warmup, measure)
+            .map_err(|e| e.to_string())?;
+        if let Some(committed) = run.ended_in_warmup {
+            return Err(format!(
+                "program ended after {committed} instructions, inside the \
+                 {}-instruction warm-up; rerun with a smaller --warmup",
+                self.warmup
+            ));
+        }
+        let (stats, measure_seconds) = (run.stats, run.measure_seconds);
+        Ok((Outcome { stats, trace, config_digest, policy, measure_seconds }, run.observer))
+    }
 }
 
 fn build_config(flags: &Flags) -> Result<SimConfig, String> {
@@ -249,30 +347,9 @@ fn build_policy(flags: &Flags, cfg: &SimConfig) -> Result<Box<dyn ReconfigPolicy
     })
 }
 
-const RUN_FLAGS: &[&str] = &[
-    "workload",
-    "program",
-    "policy",
-    "clusters",
-    "instructions",
-    "warmup",
-    "decentralized",
-    "grid",
-    "monolithic",
-    "energy",
-    "csv",
-    "json",
-    "audit",
-    "ledger",
-];
-
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, RUN_FLAGS)?;
-    let cfg = build_config(&flags)?;
-    let policy = build_policy(&flags, &cfg)?;
-    let policy_name = policy.name();
-    let instructions = flags.get_u64("instructions", 500_000)?;
-    let warmup = flags.get_u64("warmup", 50_000)?;
+    let (setup, flags) = Setup::parse(args, &["energy", "csv", "json", "audit", "ledger"])?;
+    let warmup = setup.warmup;
     // --audit alone reports violations; --audit strict also fails the
     // run. Parsed up front so a typo surfaces before the simulation.
     let audit = match (flags.has("audit"), flags.get("audit")) {
@@ -282,42 +359,21 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         (true, Some(other)) => return Err(format!("--audit accepts only `strict`, got `{other}`")),
     };
 
-    // Capture once, replay: same records as live emulation (pinned by
-    // the capture tests) — the same path the bench sweep executor uses.
-    let trace = capture(&flags, warmup, instructions)?;
-    let workload_name = trace.name().to_string();
-
-    // Pre-decode once, then simulate off the compiled table: identical
-    // results to plain replay, cheaper per instruction. Without --audit
-    // or --csv the run keeps the zero-cost `NullObserver` loop.
-    let stream = trace.compile().replay();
-    let steering = SteeringKind::default();
-    let timeline = flags.has("csv").then(|| Timeline::new(1_000, policy.initial_clusters()));
-    let wall = std::time::Instant::now();
-    let (s, ended_in_warmup, auditor, timeline) = match (audit, timeline) {
-        (None, None) => drive(cfg, stream, policy, steering, NullObserver, warmup, instructions)
-            .map(|run| (run.stats, run.ended_in_warmup, None, None)),
-        (None, Some(t)) => drive(cfg, stream, policy, steering, t, warmup, instructions)
-            .map(|run| (run.stats, run.ended_in_warmup, None, Some(run.observer))),
-        (Some(_), None) => {
-            drive(cfg, stream, policy, steering, AuditObserver::new(), warmup, instructions)
-                .map(|run| (run.stats, run.ended_in_warmup, Some(run.observer), None))
+    // The gates are constants, so the observer's type is picked here:
+    // only --audit assembles audit snapshots, and a run without --audit
+    // or --csv keeps the zero-cost `NullObserver` loop.
+    let timeline = flags.has("csv").then(|| Timeline::new(1_000, setup.policy.initial_clusters()));
+    let (run, (auditor, timeline)) = match (audit, timeline) {
+        (Some(_), timeline) => {
+            setup.drive((Some(AuditObserver::new()), timeline), Span::Measured)?
         }
-        (Some(_), Some(t)) => {
-            let observer = (AuditObserver::new(), t);
-            drive(cfg, stream, policy, steering, observer, warmup, instructions).map(|run| {
-                let (auditor, timeline) = run.observer;
-                (run.stats, run.ended_in_warmup, Some(auditor), Some(timeline))
-            })
+        (None, Some(timeline)) => {
+            let (run, timeline) = setup.drive(timeline, Span::Measured)?;
+            (run, (None, Some(timeline)))
         }
-    }
-    .map_err(|e| e.to_string())?;
-    if let Some(committed) = ended_in_warmup {
-        return Err(format!(
-            "program ended after {committed} instructions, inside the \
-             {warmup}-instruction warm-up; rerun with a smaller --warmup"
-        ));
-    }
+        (None, None) => (setup.drive(NullObserver, Span::Measured)?.0, (None, None)),
+    };
+    let s = &run.stats;
     if let Some(auditor) = auditor.as_ref().filter(|a| !a.is_clean()) {
         for v in auditor.violations() {
             eprintln!("audit violation: {v}");
@@ -331,17 +387,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
     }
     let audit_doc = auditor.map(|a| a.to_json());
-    // Only --json and --ledger store the provenance, so only they pay
-    // for hashing the trace.
-    let prov = (flags.has("json") || flags.has("ledger")).then(|| {
-        Provenance::new(
-            workload_name.as_str(),
-            Some(trace.checksum()),
-            cfg.digest(),
-            policy_name.as_str(),
-        )
-        .with_wall_seconds(wall.elapsed().as_secs_f64())
-    });
+    let (workload_name, policy_name) = (run.trace.name(), run.policy.as_str());
+    // The JSON document and the ledger entry share one provenance, so
+    // they name one run id.
+    let prov = (flags.has("json") || flags.has("ledger")).then(|| run.provenance());
 
     if let Some(prov) = prov.as_ref().filter(|_| flags.has("json")) {
         // Run metadata first, then every counter and derived rate from
@@ -349,8 +398,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         // the {schema_version, provenance, data} envelope shared by
         // every exported artifact.
         let mut doc = Json::object()
-            .set("workload", workload_name.as_str())
-            .set("policy", policy_name.as_str())
+            .set("workload", workload_name)
+            .set("policy", policy_name)
             .set("warmup", warmup);
         if let Json::Obj(fields) = s.to_json() {
             for (key, value) in fields {
@@ -358,7 +407,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             }
         }
         if flags.has("energy") {
-            let e = estimate_energy(&s, &EnergyParams::default());
+            let e = estimate_energy(s, &EnergyParams::default());
             doc = doc.set(
                 "energy",
                 Json::object()
@@ -366,7 +415,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                     .set("active_leakage", e.active_leakage)
                     .set("idle_leakage", e.idle_leakage)
                     .set("dynamic", e.dynamic)
-                    .set("per_instruction", e.per_instruction(&s)),
+                    .set("per_instruction", e.per_instruction(s)),
             );
         }
         if let Some(a) = &audit_doc {
@@ -422,13 +471,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
     }
     if flags.has("energy") && !flags.has("json") {
-        let e = estimate_energy(&s, &EnergyParams::default());
+        let e = estimate_energy(s, &EnergyParams::default());
         println!(
             "energy              {:.0} (leakage {:.0} + dynamic {:.0}), {:.3}/instr",
             e.total(),
             e.active_leakage + e.idle_leakage,
             e.dynamic,
-            e.per_instruction(&s)
+            e.per_instruction(s)
         );
     }
     if let Some(prov) = prov.filter(|_| flags.has("ledger")) {
@@ -449,45 +498,18 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-const TRACE_FLAGS: &[&str] = &[
-    "workload",
-    "program",
-    "policy",
-    "clusters",
-    "instructions",
-    "warmup",
-    "interval",
-    "decentralized",
-    "grid",
-    "monolithic",
-    "out",
-    "events",
-];
-
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, TRACE_FLAGS)?;
-    let cfg = build_config(&flags)?;
-    let policy = build_policy(&flags, &cfg)?;
-    let policy_name = policy.name();
-    let instructions = flags.get_u64("instructions", 500_000)?;
-    let warmup = flags.get_u64("warmup", 50_000)?;
+    let (setup, flags) = Setup::parse(args, &["interval", "out", "events"])?;
     let interval = flags.get_u64("interval", 1_000)?;
     if interval == 0 {
         return Err("--interval must be non-zero".into());
     }
     let out_path = flags.get("out").unwrap_or("trace.json");
 
-    // Unlike `run`, the trace covers the whole execution including the
-    // warm-up: a timeline with a hole at the start is more confusing
-    // than one marked from cycle 0.
-    let timeline = Timeline::new(interval, policy.initial_clusters());
-    let captured = capture(&flags, warmup, instructions)?;
-    let stream = captured.compile().replay();
+    let timeline = Timeline::new(interval, setup.policy.initial_clusters());
     let observer = ((ReconfigLog::new(), DecisionTrace::new()), timeline);
-    let steering = SteeringKind::default();
-    let run = drive(cfg, stream, policy, steering, observer, 0, warmup + instructions)
-        .map_err(|e| e.to_string())?;
-    let (s, ((log, decisions), timeline)) = (run.stats, run.observer);
+    let (run, ((log, decisions), timeline)) = setup.drive(observer, Span::Whole)?;
+    let s = &run.stats;
 
     let (dropped_reconfigs, dropped_decisions) = (log.dropped_reconfigs(), decisions.dropped());
     if dropped_reconfigs + dropped_decisions > 0 {
@@ -496,13 +518,13 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
              records were dropped past the event cap; the trace is truncated"
         );
     }
-    let trace = chrome_trace(&log, decisions.decisions(), &s);
+    let trace = chrome_trace(&log, decisions.decisions(), s);
     let events = trace.as_arr().map_or(0, <[Json]>::len);
     std::fs::write(out_path, trace.to_string_pretty())
         .map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
 
-    println!("workload            {}", captured.name());
-    println!("policy              {policy_name}");
+    println!("workload            {}", run.trace.name());
+    println!("policy              {}", run.policy);
     println!("instructions        {}", s.committed);
     println!("cycles              {}", s.cycles);
     println!("IPC                 {:.3}", s.ipc());
@@ -516,21 +538,6 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     }
     Ok(())
 }
-
-const EXPLAIN_FLAGS: &[&str] = &[
-    "workload",
-    "program",
-    "policy",
-    "clusters",
-    "instructions",
-    "warmup",
-    "decentralized",
-    "grid",
-    "monolithic",
-    "decisions",
-    "limit",
-    "decision-cap",
-];
 
 /// Per-state commit attribution: each decision's state owns the span
 /// of commits since the previous decision; the tail after the last
@@ -562,28 +569,19 @@ fn commits_per_state(
 }
 
 fn cmd_explain(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, EXPLAIN_FLAGS)?;
-    let cfg = build_config(&flags)?;
-    let policy = build_policy(&flags, &cfg)?;
-    let policy_name = policy.name();
-    let instructions = flags.get_u64("instructions", 500_000)?;
-    let warmup = flags.get_u64("warmup", 50_000)?;
+    let (setup, flags) = Setup::parse(args, &["decisions", "limit", "decision-cap"])?;
+    let warmup = setup.warmup;
     let limit = flags.get_u64("limit", 40)? as usize;
     let cap = flags.get_u64("decision-cap", DEFAULT_EVENT_CAP as u64)? as usize;
     if cap == 0 {
         return Err("--decision-cap must be non-zero".into());
     }
 
-    // Like `trace`, the timeline covers the whole execution including
-    // the warm-up: policy decisions start at cycle 0 and a timeline
-    // with a hole at the front is more confusing than a marked one.
-    let trace = capture(&flags, warmup, instructions)?;
-    let stream = trace.compile().replay();
-    let (steering, observer) = (SteeringKind::default(), DecisionTrace::with_cap(cap));
-    let run = drive(cfg, stream, policy, steering, observer, 0, warmup + instructions)
-        .map_err(|e| e.to_string())?;
-    let s = run.stats;
-    let (decisions, dropped) = run.observer.into_decisions();
+    // Policy decisions start at cycle 0, so the timeline covers the
+    // warm-up too.
+    let (run, decisions) = setup.drive(DecisionTrace::with_cap(cap), Span::Whole)?;
+    let s = &run.stats;
+    let (decisions, dropped) = decisions.into_decisions();
     if dropped > 0 {
         println!(
             "warning: {dropped} decision records dropped past the {cap}-record cap; \
@@ -591,8 +589,8 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
         );
     }
 
-    println!("workload            {}", trace.name());
-    println!("policy              {policy_name}");
+    println!("workload            {}", run.trace.name());
+    println!("policy              {}", run.policy);
     println!("instructions        {} ({} warm-up included)", s.committed, warmup);
     println!("cycles              {}", s.cycles);
     println!("IPC                 {:.3}", s.ipc());
@@ -661,13 +659,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     }
 
     if let Some(path) = flags.get("decisions") {
-        let prov = Provenance::new(
-            trace.name(),
-            Some(trace.checksum()),
-            cfg.digest(),
-            policy_name.as_str(),
-        );
-        std::fs::write(path, decisions_document(&prov, &decisions))
+        std::fs::write(path, decisions_document(&run.provenance(), &decisions))
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
         println!("  trace               {path} ({} lines)", decisions.len() + 1);
     }
@@ -752,46 +744,22 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-const PERF_FLAGS: &[&str] = &[
-    "workload",
-    "program",
-    "policy",
-    "clusters",
-    "instructions",
-    "warmup",
-    "decentralized",
-    "grid",
-    "monolithic",
-    "sample-interval",
-    "out",
-    "json",
-];
-
 fn cmd_perf(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, PERF_FLAGS)?;
-    let cfg = build_config(&flags)?;
-    let policy = build_policy(&flags, &cfg)?;
-    let policy_name = policy.name();
-    let instructions = flags.get_u64("instructions", 500_000)?;
-    let warmup = flags.get_u64("warmup", 50_000)?;
+    let (setup, flags) = Setup::parse(args, &["sample-interval", "out", "json"])?;
     let sample_interval = flags.get_u64("sample-interval", DEFAULT_SAMPLE_INTERVAL)?;
     if sample_interval == 0 {
         return Err("--sample-interval must be non-zero".into());
     }
 
-    let trace = capture(&flags, warmup, instructions)?;
-    let label = format!("{} ({policy_name})", trace.name());
     // The profiler resets when the measured window starts, so shares
     // and throughput describe the measured window only.
-    let stream = trace.compile().replay();
-    let profiler = HostProfiler::new(sample_interval);
-    let run = drive(cfg, stream, policy, SteeringKind::default(), profiler, warmup, instructions)
-        .map_err(|e| e.to_string())?;
-    let (s, p, wall_seconds) = (run.stats, &run.observer, run.measure_seconds);
+    let (run, p) = setup.drive(HostProfiler::new(sample_interval), Span::Measured)?;
+    let (s, wall_seconds) = (&run.stats, run.measure_seconds);
+    let label = format!("{} ({})", run.trace.name(), run.policy);
 
     let trace_events = match flags.get("out") {
         Some(path) => {
-            let doc = host_chrome_trace(p, &label);
+            let doc = host_chrome_trace(&p, &label);
             let events = doc.as_arr().map_or(0, <[Json]>::len);
             std::fs::write(path, doc.to_string_pretty())
                 .map_err(|e| format!("cannot write `{path}`: {e}"))?;
@@ -801,22 +769,13 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
     };
 
     if flags.has("json") {
-        let prov = Provenance::new(
-            trace.name(),
-            Some(trace.checksum()),
-            cfg.digest(),
-            policy_name.as_str(),
-        )
-        .with_wall_seconds(wall_seconds);
-        println!(
-            "{}",
-            envelope(&prov, host_profile_json(p, &label, wall_seconds)).to_string_pretty()
-        );
+        let doc = host_profile_json(&p, &label, wall_seconds);
+        println!("{}", envelope(&run.provenance(), doc).to_string_pretty());
         return Ok(());
     }
 
-    println!("workload            {}", trace.name());
-    println!("policy              {policy_name}");
+    println!("workload            {}", run.trace.name());
+    println!("policy              {}", run.policy);
     println!("sim cycles          {}", p.cycles());
     println!("IPC                 {:.3}", s.ipc());
     println!("wall time           {wall_seconds:.3} s");
@@ -866,15 +825,9 @@ fn cmd_asm(args: &[String]) -> Result<(), String> {
 
 fn cmd_workloads() -> Result<(), String> {
     println!("{:<8} {:<12} {:<7} description", "name", "suite", "IPC*");
-    for w in workloads::all() {
-        let p = w.paper();
-        println!(
-            "{:<8} {:<12} {:<7.2} {}",
-            w.name(),
-            p.class.suite_name(),
-            p.base_ipc,
-            w.description()
-        );
+    for k in workloads::catalog() {
+        let (suite, ipc) = (k.paper.class.suite_name(), k.paper.base_ipc);
+        println!("{:<8} {:<12} {:<7.2} {}", k.name, suite, ipc, k.description);
     }
     println!("\n* IPC as reported by the paper's Table 3 for the original benchmark.");
     Ok(())
@@ -883,27 +836,23 @@ fn cmd_workloads() -> Result<(), String> {
 fn cmd_phases(args: &[String]) -> Result<(), String> {
     let flags =
         Flags::parse(args, &["workload", "program", "instructions", "warmup", "base-interval"])?;
-    let instructions = flags.get_u64("instructions", 500_000)?;
-    let warmup = flags.get_u64("warmup", 50_000)?;
+    // Table 4's machine: 16 fixed clusters on the default configuration.
+    let policy = Box::new(FixedPolicy::new(16));
+    let setup = Setup::new(&flags, SimConfig::default(), policy)?;
+    let warmup = setup.warmup;
     let base = flags.get_u64("base-interval", 1_000)?;
     if base == 0 {
         return Err("--base-interval must be non-zero".into());
     }
-    let trace = capture(&flags, warmup, instructions)?;
-    let stream = trace.compile().replay();
-    let (cfg, steering, policy) =
-        (SimConfig::default(), SteeringKind::default(), Box::new(FixedPolicy::new(16)));
-    let timeline = Timeline::new(base, policy.initial_clusters());
-    let records = drive(cfg, stream, policy, steering, timeline, 0, warmup + instructions)
-        .map_err(|e| e.to_string())?
-        .observer
-        .records();
+    let timeline = Timeline::new(base, setup.policy.initial_clusters());
+    let (run, timeline) = setup.drive(timeline, Span::Whole)?;
+    let records = timeline.records();
     // Discard the warm-up portion, as the Table 4 experiment does.
     let skip = ((warmup / base) as usize).min(records.len());
     let records = &records[skip..];
     println!(
         "workload {}: {} base intervals of {base} instructions ({skip} warm-up intervals discarded)",
-        trace.name(),
+        run.trace.name(),
         records.len()
     );
     let mut group = 1;

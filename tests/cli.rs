@@ -174,9 +174,19 @@ fn program_ending_in_warmup_is_a_clear_error() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("short.s");
     std::fs::write(&path, "nop\nhalt\n").expect("write");
-    let out = clustered(&["run", "--program", path.to_str().expect("utf-8 path")]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("warm-up"));
+    let program = path.to_str().expect("utf-8 path");
+    for verb in [&["run"][..], &["perf"], &["perf", "--json"]] {
+        let args: Vec<&str> =
+            verb.iter().chain(&["--program", program, "--warmup", "100"]).copied().collect();
+        let out = clustered(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stdout {}", stdout(&out));
+        assert!(
+            stderr(&out).contains("inside the 100-instruction warm-up"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+        assert!(stdout(&out).is_empty(), "{args:?}: {}", stdout(&out));
+    }
 }
 
 #[test]
