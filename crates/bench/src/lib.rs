@@ -16,9 +16,7 @@
 pub mod experiments;
 pub mod sweep;
 
-use clustered_sim::{
-    drive, NullObserver, ReconfigPolicy, Run, SimConfig, SimObserver, SimStats, SteeringKind,
-};
+use clustered_sim::{drive, NullObserver, ReconfigPolicy, SimConfig, SimStats, SteeringKind};
 use clustered_workloads::Workload;
 
 /// Default measured instructions per run (`CLUSTERED_MEASURE`
@@ -28,14 +26,15 @@ pub const DEFAULT_MEASURE: u64 = 400_000;
 /// overrides it for the experiments).
 pub const DEFAULT_WARMUP: u64 = 50_000;
 
-/// Runs `workload` under `cfg` and `policy`, discarding a warm-up and
-/// returning statistics for the measured window.
+/// Runs `workload` under `cfg` and `policy` by live emulation through
+/// [`drive`], discarding a warm-up and returning statistics for the
+/// measured window.
 ///
 /// # Panics
 ///
-/// Panics if the configuration is invalid or the simulator reports an
-/// internal stall — both indicate harness bugs, not experiment
-/// outcomes.
+/// Panics if the workload faults, the configuration is invalid or the
+/// simulator reports an internal stall — all indicate harness bugs,
+/// not experiment outcomes.
 pub fn run_experiment(
     workload: &Workload,
     cfg: SimConfig,
@@ -43,33 +42,12 @@ pub fn run_experiment(
     warmup: u64,
     measure: u64,
 ) -> SimStats {
-    let steering = SteeringKind::default();
-    run_experiment_with(workload, cfg, policy, steering, NullObserver, warmup, measure).stats
-}
-
-/// [`run_experiment`] with an explicit steering heuristic and an
-/// observer watching the run (live emulation through
-/// [`drive`]): pass a [`DecisionTrace`](clustered_sim::DecisionTrace)
-/// to collect decision telemetry, or a pair of observers to watch the
-/// run several ways at once.
-///
-/// # Panics
-///
-/// As for [`run_experiment`].
-pub fn run_experiment_with<O: SimObserver>(
-    workload: &Workload,
-    cfg: SimConfig,
-    policy: Box<dyn ReconfigPolicy>,
-    steering: SteeringKind,
-    observer: O,
-    warmup: u64,
-    measure: u64,
-) -> Run<O> {
     let stream = workload
         .trace()
         .map(|r| r.unwrap_or_else(|e| panic!("workload faulted during simulation: {e}")));
-    drive(cfg, stream, policy, steering, observer, warmup, measure)
+    drive(cfg, stream, policy, SteeringKind::default(), NullObserver, warmup, measure)
         .unwrap_or_else(|e| panic!("experiment run failed: {e}"))
+        .stats
 }
 
 #[cfg(test)]
@@ -93,15 +71,11 @@ mod tests {
         let w = by_name("gzip").unwrap();
         let policy = || Box::new(clustered_core::IntervalDistantIlp::with_interval(1_000));
         let plain = run_experiment(&w, SimConfig::default(), policy(), 5_000, 20_000);
-        let with = run_experiment_with(
-            &w,
-            SimConfig::default(),
-            policy(),
-            SteeringKind::default(),
-            clustered_sim::DecisionTrace::new(),
-            5_000,
-            20_000,
-        );
+        let stream = w.trace().map(Result::unwrap);
+        let observer = clustered_sim::DecisionTrace::new();
+        let steering = SteeringKind::default();
+        let with = drive(SimConfig::default(), stream, policy(), steering, observer, 5_000, 20_000)
+            .expect("valid run");
         assert_eq!(plain, with.stats, "collecting decisions must not perturb the simulation");
         let decisions = with.observer.decisions();
         assert!(!decisions.is_empty(), "1k intervals over a 25k run must decide");

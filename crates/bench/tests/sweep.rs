@@ -9,15 +9,29 @@
 //!   pool — yields identical statistics.
 
 use clustered_bench::sweep::{run_point, run_sweep_with, SweepPoint};
-use clustered_bench::{run_experiment, run_experiment_with};
 use clustered_core::{FineGrain, IntervalDistantIlp, IntervalExplore};
-use clustered_sim::{CacheModel, FixedPolicy, NullObserver, SimConfig, SteeringKind, Topology};
-use clustered_workloads::CapturedTrace;
+use clustered_sim::{
+    drive, CacheModel, FixedPolicy, NullObserver, ReconfigPolicy, SimConfig, SimStats,
+    SteeringKind, Topology,
+};
+use clustered_workloads::{CapturedTrace, Workload};
 
 const WARMUP: u64 = 2_000;
 const MEASURE: u64 = 20_000;
 
-type PolicyFn = fn() -> Box<dyn clustered_sim::ReconfigPolicy>;
+type PolicyFn = fn() -> Box<dyn ReconfigPolicy>;
+
+/// The measured window of `w` emulated live, with no capture between
+/// the emulator and the simulator.
+fn emulate_live(
+    w: &Workload,
+    cfg: SimConfig,
+    policy: Box<dyn ReconfigPolicy>,
+    steering: SteeringKind,
+) -> SimStats {
+    let stream = w.trace().map(Result::unwrap);
+    drive(cfg, stream, policy, steering, NullObserver, WARMUP, MEASURE).expect("valid run").stats
+}
 
 fn decentralized() -> SimConfig {
     let mut cfg = SimConfig::default();
@@ -53,7 +67,7 @@ fn golden_replay_matches_live_emulation() {
         (slow_small, || Box::new(IntervalExplore::default())),
     ];
     for (i, (cfg, policy)) in cases.into_iter().enumerate() {
-        let live = run_experiment(&w, cfg, policy(), WARMUP, MEASURE);
+        let live = emulate_live(&w, cfg, policy(), SteeringKind::default());
         let point = SweepPoint::new(format!("gzip/{i}"), &trace, cfg, policy, WARMUP, MEASURE);
         let replayed = run_point(&point);
         assert_eq!(live, replayed, "case {i}: replayed stats diverged from live emulation");
@@ -68,16 +82,8 @@ fn golden_replay_matches_live_adaptive_policy() {
     let w = clustered_workloads::by_name("crafty").unwrap();
     let trace = CapturedTrace::for_window(&w, WARMUP, MEASURE);
     for steering in [SteeringKind::ModN(3), SteeringKind::ModN(4), SteeringKind::FirstFit] {
-        let live = run_experiment_with(
-            &w,
-            SimConfig::default(),
-            Box::new(IntervalExplore::default()),
-            steering,
-            NullObserver,
-            WARMUP,
-            MEASURE,
-        )
-        .stats;
+        let live =
+            emulate_live(&w, SimConfig::default(), Box::new(IntervalExplore::default()), steering);
         let point = SweepPoint::new(
             "crafty/explore",
             &trace,

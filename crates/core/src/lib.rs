@@ -26,22 +26,22 @@
 //!
 //! All policies implement
 //! [`ReconfigPolicy`](clustered_sim::ReconfigPolicy) and plug into
-//! [`Processor`](clustered_sim::Processor).
+//! [`drive`](clustered_sim::drive).
 //!
 //! # Examples
 //!
 //! ```
 //! use clustered_core::IntervalExplore;
-//! use clustered_sim::{Processor, SimConfig};
+//! use clustered_sim::{drive, NullObserver, SimConfig, SteeringKind};
 //! use clustered_workloads::by_name;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let workload = by_name("gzip").expect("known workload");
 //! let stream = workload.trace().map(Result::unwrap);
-//! let mut cpu =
-//!     Processor::new(SimConfig::default(), stream, Box::new(IntervalExplore::default()))?;
-//! let stats = cpu.run(30_000)?;
-//! assert!(stats.committed >= 30_000);
+//! let policy = Box::new(IntervalExplore::default());
+//! let steering = SteeringKind::default();
+//! let run = drive(SimConfig::default(), stream, policy, steering, NullObserver, 0, 30_000)?;
+//! assert!(run.stats.committed >= 30_000);
 //! # Ok(())
 //! # }
 //! ```

@@ -549,13 +549,6 @@ impl SimConfig {
         }
         clustered_stats::fnv1a_64(&bytes)
     }
-
-    /// The legal "active cluster" settings a reconfiguration policy may
-    /// request under this configuration: the powers of two up to the
-    /// cluster count (the subset the paper found sufficient, §4.1).
-    pub fn allowed_cluster_counts(&self) -> Vec<usize> {
-        (0..).map(|i| 1usize << i).take_while(|&n| n <= self.clusters.count).collect()
-    }
 }
 
 /// An invalid-configuration error.
@@ -665,7 +658,9 @@ mod tests {
         cfg.clusters.count = 1;
         let program = clustered_isa::assemble("halt").expect("assembles");
         let stream = clustered_emu::trace(program).map(Result::unwrap);
-        let built = crate::Processor::new(cfg, stream, Box::new(crate::FixedPolicy::new(1)));
+        let policy = Box::new(crate::FixedPolicy::new(1));
+        let steering = crate::SteeringKind::default();
+        let built = crate::drive(cfg, stream, policy, steering, crate::NullObserver, 0, 1);
         assert!(matches!(built, Err(crate::SimError::Config(_))));
     }
 
@@ -753,14 +748,5 @@ mod tests {
         swap_a.clusters.int_iq = 30;
         swap_a.clusters.int_regs = 15;
         assert_ne!(base.digest(), swap_a.digest());
-    }
-
-    #[test]
-    fn allowed_counts_are_powers_of_two() {
-        let cfg = SimConfig::default();
-        assert_eq!(cfg.allowed_cluster_counts(), vec![1, 2, 4, 8, 16]);
-        let mut small = cfg;
-        small.clusters.count = 4;
-        assert_eq!(small.allowed_cluster_counts(), vec![1, 2, 4]);
     }
 }

@@ -23,7 +23,7 @@
 //! ```
 //! use clustered_isa::assemble;
 //! use clustered_emu::trace;
-//! use clustered_sim::{FixedPolicy, Processor, SimConfig};
+//! use clustered_sim::{drive, FixedPolicy, NullObserver, SimConfig, SteeringKind};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let program = assemble(
@@ -33,13 +33,11 @@
 //!      halt",
 //! )?;
 //! let stream = trace(program).map(Result::unwrap);
-//! let mut cpu = Processor::new(
-//!     SimConfig::default(),
-//!     stream,
-//!     Box::new(FixedPolicy::new(4)),
-//! )?;
-//! let stats = cpu.run(u64::MAX)?; // to end of trace
-//! assert!(stats.ipc() > 0.5);
+//! let policy = Box::new(FixedPolicy::new(4));
+//! let steering = SteeringKind::default();
+//! // No warm-up: count the whole program, to the end of its trace.
+//! let run = drive(SimConfig::default(), stream, policy, steering, NullObserver, 0, u64::MAX)?;
+//! assert!(run.stats.ipc() > 0.5);
 //! # Ok(())
 //! # }
 //! ```

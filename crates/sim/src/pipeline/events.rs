@@ -617,6 +617,7 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
 #[cfg(test)]
 mod tests {
     use super::{EventKind, EventQueue, CAL_WINDOW};
+    use clustered_workloads::data::Rng;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
@@ -736,23 +737,6 @@ mod tests {
         assert!(floor > 5, "floor advances with the drain");
     }
 
-    /// xorshift64* — deterministic, dependency-free randomness.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 ^= self.0 >> 12;
-            self.0 ^= self.0 << 25;
-            self.0 ^= self.0 >> 27;
-            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
-        }
-
-        /// Uniform-ish draw in `0..n`.
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
     /// The queue and a reference `(time, tick)` min-heap, pushed in
     /// lockstep. Each event's payload is its tick, so a pop names
     /// exactly which event came out.
@@ -783,12 +767,12 @@ mod tests {
         let w = CAL_WINDOW as u64;
         let cases = if cfg!(feature = "slow-tests") { 5_000 } else { 50 };
         for case in 0..cases {
-            let mut rng = Rng(0x9e37_79b9_7f4a_7c15 ^ ((case + 1) * 0x1000_0000_01b3));
+            let mut rng = Rng::seeded(0x9e37_79b9_7f4a_7c15 ^ ((case + 1) * 0x1000_0000_01b3));
             let mut q = Lockstep { queue: EventQueue::new(), model: BinaryHeap::new(), tick: 0 };
             let mut now = 1 + rng.below(4 * w);
             for _ in 0..1_000 {
                 for _ in 0..rng.below(4) {
-                    let cluster = rng.below(16) as usize;
+                    let cluster = rng.index(16);
                     q.push(cluster, now + rng.below(3 * w));
                 }
                 while let Some((cluster, kind)) = q.queue.pop_due(now) {
@@ -797,7 +781,7 @@ mod tests {
                     assert!(time <= now, "case {case}: event for cycle {time} fired at {now}");
                     assert_eq!((cluster, kind), (hint, wb(tick)), "case {case}, cycle {now}");
                     if rng.below(4) == 0 {
-                        let cluster = rng.below(16) as usize;
+                        let cluster = rng.index(16);
                         let ahead = if rng.below(2) == 0 { 0 } else { rng.below(3 * w) };
                         q.push(cluster, now + ahead);
                     }

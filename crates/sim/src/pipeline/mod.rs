@@ -298,9 +298,12 @@ impl std::ops::IndexMut<usize> for RobRing {
 /// The simulated processor.
 ///
 /// Generic over the dynamic-instruction source and over an observer
-/// receiving per-event callbacks; see the crate-level documentation
-/// for a complete example. The default [`NullObserver`] costs nothing
-/// — its empty hooks monomorphize away.
+/// receiving per-event callbacks. The default [`NullObserver`] costs
+/// nothing — its empty hooks monomorphize away.
+///
+/// [`drive`] builds one and runs the warm-up → measure sequence; use
+/// it. The type stays public, with its step-by-step methods, for a
+/// caller that times each step of that sequence on its own.
 pub struct Processor<T, O = NullObserver> {
     cfg: SimConfig,
     trace: T,
@@ -362,21 +365,6 @@ fn legal_cluster_count(request: usize, total: usize, pow2: bool) -> usize {
         clamped
     } else {
         clamped.next_power_of_two() / 2
-    }
-}
-
-impl<T: TraceSource> Processor<T> {
-    /// Builds a processor over `trace` governed by `policy`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] if `cfg` fails validation.
-    pub fn new(
-        cfg: SimConfig,
-        trace: T,
-        policy: Box<dyn ReconfigPolicy>,
-    ) -> Result<Processor<T>, SimError> {
-        Processor::with_observer(cfg, trace, policy, SteeringKind::default(), NullObserver)
     }
 }
 
@@ -476,29 +464,9 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
         &mut self.observer
     }
 
-    /// Consumes the processor, returning its observer.
-    pub fn into_observer(self) -> O {
-        self.observer
-    }
-
-    /// The current cycle.
-    pub fn cycle(&self) -> u64 {
-        self.now
-    }
-
-    /// The currently active cluster count.
-    pub fn active_clusters(&self) -> usize {
-        self.active
-    }
-
-    /// The configuration being simulated.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
     /// Whether the instruction source is exhausted and the pipeline
     /// has drained.
-    pub fn finished(&self) -> bool {
+    fn finished(&self) -> bool {
         self.trace_done && self.fetch_queue.is_empty() && self.rob.is_empty()
     }
 
@@ -510,7 +478,9 @@ impl<T: TraceSource, O: SimObserver> Processor<T, O> {
     /// [`SimError::Stalled`] if the pipeline stops making progress (an
     /// internal invariant violation, not a program property).
     pub fn run(&mut self, instructions: u64) -> Result<SimStats, SimError> {
-        let target = self.stats.committed + instructions;
+        // Saturating, so `u64::MAX` means "to the end of the trace"
+        // after a warm-up too.
+        let target = self.stats.committed.saturating_add(instructions);
         let mut last_progress = (self.stats.committed, self.now);
         while self.stats.committed < target && !self.finished() {
             self.step_cycle();
@@ -669,9 +639,13 @@ pub struct Run<O> {
 /// ([`on_measure_start`](SimObserver::on_measure_start)), runs
 /// `measure` more, and returns the measured window's statistics.
 ///
-/// Every CLI verb, experiment runner and sweep point simulates through
-/// this one sequence. Pass `warmup = 0` to observe and count the whole
-/// run in one window.
+/// Every CLI verb, experiment runner, sweep point, example and test
+/// simulates through this one sequence. Pass `warmup = 0` to observe
+/// and count the whole run in one window. Each window ends at the
+/// first cycle whose commits reach its target, so fewer than
+/// `commit_width` instructions past it, or when the program ends; a
+/// program that ends inside the warm-up leaves the measured window
+/// empty and sets [`Run::ended_in_warmup`].
 ///
 /// # Errors
 ///
@@ -715,7 +689,7 @@ pub fn drive<T: TraceSource, O: SimObserver>(
         stats: cpu.stats.delta_since(&before),
         ended_in_warmup,
         measure_seconds,
-        observer: cpu.into_observer(),
+        observer: cpu.observer,
     })
 }
 

@@ -169,6 +169,36 @@ impl FixedPolicy {
             last_decision: None,
         }
     }
+
+    /// Closes the checkpoint interval at `cycle` and records it. Cold
+    /// and out of line: it runs once per [`FIXED_CHECKPOINT_COMMITS`]
+    /// commits, so the per-commit path stays a count and a compare.
+    #[cold]
+    #[inline(never)]
+    fn checkpoint(&mut self, cycle: u64) {
+        self.interval += 1;
+        let (start_cycle, record) = self.counter.close(cycle);
+        let delta = |now: u64, then: u64| now as i64 - then as i64;
+        let (branch_delta, memref_delta) = self.previous.map_or((0, 0), |p| {
+            (delta(record.branches, p.branches), delta(record.memrefs, p.memrefs))
+        });
+        self.last_decision = Some(DecisionRecord {
+            interval: self.interval,
+            commit: self.interval * FIXED_CHECKPOINT_COMMITS,
+            start_cycle,
+            cycle,
+            state: PolicyState::Stable,
+            ipc: record.ipc(),
+            branch_delta,
+            memref_delta,
+            instability: 0.0,
+            explored_ipc: Vec::new(),
+            interval_length: FIXED_CHECKPOINT_COMMITS,
+            clusters: self.clusters,
+            reason: DecisionReason::FixedBaseline,
+        });
+        self.previous = Some(record);
+    }
 }
 
 impl ReconfigPolicy for FixedPolicy {
@@ -183,28 +213,7 @@ impl ReconfigPolicy for FixedPolicy {
     fn on_commit(&mut self, event: &CommitEvent) -> Option<usize> {
         self.counter.count(event);
         if self.counter.instructions() == FIXED_CHECKPOINT_COMMITS {
-            self.interval += 1;
-            let (start_cycle, record) = self.counter.close(event.cycle);
-            let delta = |now: u64, then: u64| now as i64 - then as i64;
-            let (branch_delta, memref_delta) = self.previous.map_or((0, 0), |p| {
-                (delta(record.branches, p.branches), delta(record.memrefs, p.memrefs))
-            });
-            self.last_decision = Some(DecisionRecord {
-                interval: self.interval,
-                commit: self.interval * FIXED_CHECKPOINT_COMMITS,
-                start_cycle,
-                cycle: event.cycle,
-                state: PolicyState::Stable,
-                ipc: record.ipc(),
-                branch_delta,
-                memref_delta,
-                instability: 0.0,
-                explored_ipc: Vec::new(),
-                interval_length: FIXED_CHECKPOINT_COMMITS,
-                clusters: self.clusters,
-                reason: DecisionReason::FixedBaseline,
-            });
-            self.previous = Some(record);
+            self.checkpoint(event.cycle);
         }
         None
     }

@@ -15,26 +15,10 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 
 use clustered_sim::{Cluster, ClusterParams, FuGroup, FU_GROUPS};
+use clustered_workloads::data::Rng;
 
 const GROUPS: [FuGroup; FU_GROUPS] =
     [FuGroup::IntAlu, FuGroup::IntMulDiv, FuGroup::FpAlu, FuGroup::FpMulDiv];
-
-/// xorshift64* — deterministic, dependency-free randomness.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    /// Uniform-ish draw in `0..n`.
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 /// The pre-ring scheduler, kept deliberately naive: pending wakeups in
 /// a min-heap, ready instructions in ordered sets, selection walking
@@ -97,13 +81,8 @@ fn params_with_units(units: &[usize; FU_GROUPS]) -> ClusterParams {
 /// Drives one randomized schedule through both schedulers and asserts
 /// identical selections at every step.
 fn run_schedule(seed: u64) {
-    let mut rng = Rng(seed);
-    let units = [
-        1 + rng.below(3) as usize,
-        1 + rng.below(2) as usize,
-        1 + rng.below(3) as usize,
-        1 + rng.below(2) as usize,
-    ];
+    let mut rng = Rng::seeded(seed);
+    let units = [1 + rng.index(3), 1 + rng.index(2), 1 + rng.index(3), 1 + rng.index(2)];
     let params = params_with_units(&units);
     let mut real = Cluster::new(&params);
     let mut model = ModelCluster::new(&units);
@@ -124,7 +103,7 @@ fn run_schedule(seed: u64) {
             n => 1 + n % 4,
         };
         for _ in 0..rng.below(6) {
-            let group = GROUPS[rng.below(FU_GROUPS as u64) as usize];
+            let group = GROUPS[rng.index(FU_GROUPS)];
             // Ready anywhere from this cycle to far beyond the window.
             let ready_at = now + rng.below(700);
             real.enqueue(group, ready_at, seq);
@@ -170,7 +149,7 @@ fn flat_scheduler_matches_heap_model_under_bursts() {
     // Heavier enqueue pressure with tiny unit counts: long ready
     // queues, sustained structural stalls, repeated same-cycle selects.
     for seed in 1..=50u64 {
-        let mut rng = Rng(seed);
+        let mut rng = Rng::seeded(seed);
         let units = [1, 1, 1, 1];
         let params = params_with_units(&units);
         let mut real = Cluster::new(&params);
@@ -182,7 +161,7 @@ fn flat_scheduler_matches_heap_model_under_bursts() {
         for step in 0..600u64 {
             if step % 7 == 0 {
                 for _ in 0..20 {
-                    let group = GROUPS[rng.below(FU_GROUPS as u64) as usize];
+                    let group = GROUPS[rng.index(FU_GROUPS)];
                     let ready_at = now + rng.below(40);
                     real.enqueue(group, ready_at, seq);
                     model.enqueue(group, ready_at, seq);

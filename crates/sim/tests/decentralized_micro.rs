@@ -5,7 +5,8 @@
 use clustered_emu::trace;
 use clustered_isa::assemble;
 use clustered_sim::{
-    CacheModel, CommitEvent, FixedPolicy, Processor, ReconfigPolicy, SimConfig, SimStats,
+    drive, CacheModel, CommitEvent, FixedPolicy, NullObserver, ReconfigPolicy, SimConfig, SimStats,
+    SteeringKind,
 };
 
 fn decentralized() -> SimConfig {
@@ -17,10 +18,11 @@ fn decentralized() -> SimConfig {
 fn run(source: &str, cfg: SimConfig, policy: Box<dyn ReconfigPolicy>) -> SimStats {
     let program = assemble(source).expect("valid test program");
     let stream = trace(program).map(|r| r.expect("well-formed"));
-    let mut cpu = Processor::new(cfg, stream, policy).expect("valid config");
-    cpu.run(5_000_000).expect("no stall");
-    assert!(cpu.finished(), "program must run to completion");
-    *cpu.stats()
+    let measure = 5_000_000;
+    let run = drive(cfg, stream, policy, SteeringKind::default(), NullObserver, 0, measure)
+        .expect("valid config, no stall");
+    assert!(run.stats.committed < measure, "program must run to completion");
+    run.stats
 }
 
 /// A single-location load stream always hits the same bank: the bank

@@ -4,25 +4,29 @@
 
 use clustered_core::IntervalExplore;
 use clustered_sim::{
-    CacheModel, FixedPolicy, HostProfiler, HostStage, Processor, ReconfigPolicy, SimConfig,
-    SimStats, SteeringKind,
+    drive, CacheModel, FixedPolicy, HostProfiler, HostStage, NullObserver, ReconfigPolicy, Run,
+    SimConfig, SimObserver, SteeringKind,
 };
 use clustered_workloads::by_name;
 
-fn run_profiled(instructions: u64, sample_interval: u64) -> (SimStats, HostProfiler) {
+/// gzip under `policy` through [`drive`].
+fn drive_gzip<O: SimObserver>(
+    cfg: SimConfig,
+    policy: Box<dyn ReconfigPolicy>,
+    observer: O,
+    warmup: u64,
+    measure: u64,
+) -> Run<O> {
     let w = by_name("gzip").expect("gzip workload exists");
     let stream = w.trace().map(Result::unwrap);
-    let mut cpu = Processor::with_observer(
-        SimConfig::default(),
-        stream,
-        Box::new(FixedPolicy::new(8)),
-        SteeringKind::default(),
-        HostProfiler::new(sample_interval),
-    )
-    .expect("valid config");
-    let stats = cpu.run(instructions).expect("no stall");
-    let profiler = cpu.observer().clone();
-    (stats, profiler)
+    drive(cfg, stream, policy, SteeringKind::default(), observer, warmup, measure)
+        .expect("valid config, no stall")
+}
+
+/// gzip on fixed-8, profiled from the first commit.
+fn run_profiled(instructions: u64, sample_interval: u64) -> Run<HostProfiler> {
+    let profiler = HostProfiler::new(sample_interval);
+    drive_gzip(SimConfig::default(), Box::new(FixedPolicy::new(8)), profiler, 0, instructions)
 }
 
 /// The acceptance criterion for the profiler gate: a profiler-on run
@@ -48,22 +52,12 @@ fn profiled_and_plain_runs_have_identical_stats() {
             60_000,
         ),
     ];
-    let w = by_name("gzip").expect("gzip workload exists");
     for (label, cfg, policy, instructions) in points {
-        let mut plain =
-            Processor::new(cfg, w.trace().map(Result::unwrap), policy()).expect("valid config");
-        let baseline = plain.run(instructions).expect("no stall");
-        let mut cpu = Processor::with_observer(
-            cfg,
-            w.trace().map(Result::unwrap),
-            policy(),
-            SteeringKind::default(),
-            HostProfiler::new(1_000),
-        )
-        .expect("valid config");
-        let profiled = cpu.run(instructions).expect("no stall");
+        let baseline = drive_gzip(cfg, policy(), NullObserver, 0, instructions).stats;
+        let run = drive_gzip(cfg, policy(), HostProfiler::new(1_000), 0, instructions);
+        let profiled = run.stats;
         assert_eq!(baseline, profiled, "{label}: host profiling changed simulated behaviour");
-        assert_eq!(cpu.observer().cycles(), profiled.cycles, "{label}: one sample per cycle");
+        assert_eq!(run.observer.cycles(), profiled.cycles, "{label}: one sample per cycle");
         if label.ends_with("interval-explore") {
             assert!(profiled.reconfigurations > 0, "{label}: the policy must reconfigure");
         }
@@ -72,7 +66,7 @@ fn profiled_and_plain_runs_have_identical_stats() {
 
 #[test]
 fn profile_is_consistent_with_the_run() {
-    let (stats, p) = run_profiled(30_000, 1_000);
+    let Run { stats, observer: p, .. } = run_profiled(30_000, 1_000);
 
     // Stage attribution: one sample per simulated cycle, and the stage
     // shares partition the measured loop time.
@@ -82,15 +76,16 @@ fn profile_is_consistent_with_the_run() {
     assert!((share_sum - 1.0).abs() < 1e-9, "stage shares sum to 1, got {share_sum}");
 
     // Load skew: FixedPolicy(8) keeps 8 clusters active, so events
-    // drain from more than one shard and the skew summary is defined.
+    // drain under more than one cluster hint and the skew summary is
+    // defined.
     assert!(p.drained_total() > 0, "a gzip run drains events");
-    let active_shards = p.drained_events().iter().filter(|&&n| n > 0).count();
-    assert!(active_shards > 1, "events spread across shards, saw {active_shards}");
-    assert!(p.drained_skew() >= 1.0, "skew is max/mean over active shards");
+    let draining = p.drained_events().iter().filter(|&&n| n > 0).count();
+    assert!(draining > 1, "events spread across cluster hints, saw {draining}");
+    assert!(p.drained_skew() >= 1.0, "skew is max/mean over draining clusters");
     assert_eq!(
         p.drained_events().iter().sum::<u64>(),
         p.drained_total(),
-        "per-shard attribution is complete"
+        "per-cluster attribution is complete"
     );
 
     // Busy-cycle accounting: the profiler samples the queued mask at
@@ -122,24 +117,17 @@ fn profile_is_consistent_with_the_run() {
     assert!(sliced <= p.loop_nanos(), "slices never claim more time than measured");
 }
 
+/// [`drive`] resets the profiler when the measured window starts, so
+/// the profile covers only that window.
 #[test]
 fn reset_discards_warmup_from_the_profile() {
-    let w = by_name("gzip").expect("gzip workload exists");
-    let stream = w.trace().map(Result::unwrap);
-    let mut cpu = Processor::with_observer(
-        SimConfig::default(),
-        stream,
-        Box::new(FixedPolicy::new(8)),
-        SteeringKind::default(),
-        HostProfiler::new(500),
-    )
-    .expect("valid config");
-    cpu.run(5_000).expect("no stall");
-    let warm = cpu.stats().cycles;
-    cpu.observer_mut().reset();
-    let stats = cpu.run(10_000).expect("no stall");
-    let p = cpu.observer();
-    assert_eq!(p.cycles(), stats.cycles - warm, "profile covers only the measured window");
+    let fixed8 = || Box::new(FixedPolicy::new(8));
+    let run = drive_gzip(SimConfig::default(), fixed8(), HostProfiler::new(500), 5_000, 10_000);
+    // Runs are deterministic: the warm-up alone ends on the same cycle.
+    let warm = drive_gzip(SimConfig::default(), fixed8(), NullObserver, 0, 5_000).stats.cycles;
+    let p = &run.observer;
+    assert_eq!(p.cycles(), run.stats.cycles, "profile covers only the measured window");
+    assert!(!p.slices().is_empty());
     for s in p.slices() {
         assert!(s.start_cycle >= warm, "no slice reaches back into the warmup");
     }

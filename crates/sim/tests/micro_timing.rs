@@ -4,16 +4,17 @@
 
 use clustered_emu::trace;
 use clustered_isa::assemble;
-use clustered_sim::{FixedPolicy, Processor, SimConfig, SimStats};
+use clustered_sim::{drive, FixedPolicy, NullObserver, SimConfig, SimStats, SteeringKind};
 
 fn run(source: &str, cfg: SimConfig, clusters: usize) -> SimStats {
     let program = assemble(source).expect("valid test program");
     let stream = trace(program).map(|r| r.expect("well-formed"));
-    let mut cpu =
-        Processor::new(cfg, stream, Box::new(FixedPolicy::new(clusters))).expect("valid config");
-    cpu.run(5_000_000).expect("no stall");
-    assert!(cpu.finished(), "program must run to completion (is it endless?)");
-    *cpu.stats()
+    let policy = Box::new(FixedPolicy::new(clusters));
+    let measure = 5_000_000;
+    let run = drive(cfg, stream, policy, SteeringKind::default(), NullObserver, 0, measure)
+        .expect("valid config, no stall");
+    assert!(run.stats.committed < measure, "program must run to completion (is it endless?)");
+    run.stats
 }
 
 /// A long serial ALU chain: IPC must approach (but never exceed) 1 —

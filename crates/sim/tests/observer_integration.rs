@@ -1,16 +1,61 @@
-//! End-to-end checks that [`ReconfigLog`] sees the same
-//! reconfigurations the statistics counters describe, that
-//! `on_commit` carries the policy's requests, and that the observer
-//! seam — composed observers included — does not perturb simulation
-//! results.
+//! End-to-end checks of [`drive`]'s warm-up/measure stop rule, that
+//! [`ReconfigLog`] sees the same reconfigurations the statistics
+//! counters describe, that `on_commit` carries the policy's requests,
+//! and that the observer seam — composed observers included — does not
+//! perturb simulation results.
 
 use clustered_core::Timeline;
+use clustered_emu::trace;
+use clustered_isa::assemble;
 use clustered_sim::{
     drive, AuditObserver, CacheModel, CommitEvent, DecisionTrace, FixedPolicy, HostProfiler,
-    NullObserver, Processor, ReconfigLog, ReconfigPolicy, Run, SimConfig, SimObserver, SimStats,
-    SteeringKind,
+    NullObserver, ReconfigLog, ReconfigPolicy, Run, SimConfig, SimObserver, SteeringKind,
 };
 use clustered_workloads::by_name;
+
+/// `source` assembled and run on fixed-4 through [`drive`].
+fn drive_program(source: &str, warmup: u64, measure: u64) -> Run<NullObserver> {
+    let stream = trace(assemble(source).expect("valid test program")).map(Result::unwrap);
+    let (policy, steering) = (Box::new(FixedPolicy::new(4)), SteeringKind::default());
+    drive(SimConfig::default(), stream, policy, steering, NullObserver, warmup, measure)
+        .expect("valid config, no stall")
+}
+
+/// Each window stops at the first cycle whose commits reach its
+/// target, or when the program ends; a program that ends inside the
+/// warm-up leaves the measured window empty.
+#[test]
+fn drive_stops_each_window_at_its_target_or_the_program_end() {
+    const COUNTDOWN: &str = "li r1, 1000
+         loop: addi r1, r1, -1
+         bnez r1, loop
+         halt";
+    let whole = drive_program(COUNTDOWN, 0, u64::MAX).stats.committed;
+    assert!(whole > 2_000, "the loop runs to completion: {whole}");
+
+    let early = drive_program(COUNTDOWN, whole + 100, 1_000);
+    assert_eq!(early.ended_in_warmup, Some(whole));
+    assert_eq!((early.stats.committed, early.stats.cycles), (0, 0), "empty measured window");
+
+    let (warmup, measure) = (500, whole);
+    let late = drive_program(COUNTDOWN, warmup, measure);
+    assert_eq!(late.ended_in_warmup, None);
+    assert!(late.stats.committed < measure, "the program ends inside the window");
+    let warmed = drive_program(COUNTDOWN, 0, warmup).stats.committed;
+    assert_eq!(warmed + late.stats.committed, whole, "the two windows split the program");
+    let rest = drive_program(COUNTDOWN, warmup, u64::MAX);
+    assert_eq!(rest.stats, late.stats, "an unbounded window runs to the program end");
+
+    const ENDLESS: &str = "loop: addi r1, r1, 1
+         j loop";
+    let width = SimConfig::default().frontend.commit_width as u64;
+    let warmed = drive_program(ENDLESS, 0, 1_000).stats.committed;
+    assert!((1_000..1_000 + width).contains(&warmed), "warm-up overshoot: {warmed}");
+    let run = drive_program(ENDLESS, 1_000, 5_000);
+    assert_eq!(run.ended_in_warmup, None);
+    let measured = run.stats.committed;
+    assert!((5_000..5_000 + width).contains(&measured), "measure overshoot: {measured}");
+}
 
 /// A policy oscillating between 4 and 16 clusters: its `n`-th call
 /// returns [`Oscillate::request`]`(n)`.
@@ -51,14 +96,22 @@ impl SimObserver for Commits {
     }
 }
 
+/// gzip under `policy` for 20k instructions, from the first commit.
+fn drive_from_start<O: SimObserver>(
+    cfg: SimConfig,
+    policy: Box<dyn ReconfigPolicy>,
+    observer: O,
+) -> Run<O> {
+    let w = by_name("gzip").expect("gzip workload exists");
+    let stream = w.trace().map(Result::unwrap);
+    drive(cfg, stream, policy, SteeringKind::default(), observer, 0, 20_000)
+        .expect("valid config, no stall")
+}
+
 /// gzip under [`Oscillate`] for 20k instructions, from the first
 /// commit.
 fn drive_oscillating<O: SimObserver>(cfg: SimConfig, observer: O) -> Run<O> {
-    let w = by_name("gzip").expect("gzip workload exists");
-    let stream = w.trace().map(Result::unwrap);
-    let policy = Box::new(Oscillate { n: 0 });
-    drive(cfg, stream, policy, SteeringKind::default(), observer, 0, 20_000)
-        .expect("valid config, no stall")
+    drive_from_start(cfg, Box::new(Oscillate { n: 0 }), observer)
 }
 
 #[test]
@@ -107,28 +160,13 @@ fn timeline_shows_a_request_while_its_drain_is_pending() {
     );
 }
 
-fn run_observed(
-    cfg: SimConfig,
-    policy: Box<dyn ReconfigPolicy>,
-    instructions: u64,
-) -> (SimStats, ReconfigLog) {
-    let w = by_name("gzip").expect("gzip workload exists");
-    let stream = w.trace().map(Result::unwrap);
-    let mut cpu =
-        Processor::with_observer(cfg, stream, policy, SteeringKind::default(), ReconfigLog::new())
-            .expect("valid config");
-    let stats = cpu.run(instructions).expect("no stall");
-    let observer = cpu.observer().clone();
-    (stats, observer)
-}
-
 #[test]
 fn observer_sees_decentralized_reconfigurations_and_flushes() {
     let mut cfg = SimConfig::default();
     cfg.cache.model = CacheModel::Decentralized;
     // Oscillating between 4 and 16 clusters forces real drain + flush
     // reconfigurations.
-    let (stats, m) = run_observed(cfg, Box::new(Oscillate { n: 0 }), 20_000);
+    let Run { stats, observer: m, .. } = drive_oscillating(cfg, ReconfigLog::new());
     assert!(stats.reconfigurations > 0, "policy must have fired");
     assert_eq!(m.reconfigs.len() as u64, stats.reconfigurations);
     assert_eq!(m.flushes.len() as u64, stats.reconfigurations);
@@ -151,13 +189,10 @@ fn drive_gzip<O: SimObserver>(observer: O) -> Run<O> {
 
 #[test]
 fn observed_and_unobserved_runs_are_identical() {
-    let w = by_name("gzip").expect("gzip workload exists");
-    let stream = w.trace().map(Result::unwrap);
-    let mut plain = Processor::new(SimConfig::default(), stream, Box::new(FixedPolicy::new(8)))
-        .expect("valid config");
-    let baseline = plain.run(20_000).expect("no stall");
-    let (observed, _) = run_observed(SimConfig::default(), Box::new(FixedPolicy::new(8)), 20_000);
-    assert_eq!(baseline, observed, "observer must not change simulated behaviour");
+    let fixed8 = || Box::new(FixedPolicy::new(8));
+    let baseline = drive_from_start(SimConfig::default(), fixed8(), NullObserver);
+    let observed = drive_from_start(SimConfig::default(), fixed8(), ReconfigLog::new());
+    assert_eq!(baseline.stats, observed.stats, "observer must not change simulated behaviour");
 
     // Composed observers see one run several ways at once, and still
     // leave the schedule untouched.

@@ -3,19 +3,19 @@
 //! These check the *qualitative* properties the paper's evaluation
 //! depends on — not absolute IPC values.
 
-use clustered_sim::{CacheModel, FixedPolicy, Processor, SimConfig, SimStats, Topology};
+use clustered_sim::{
+    drive, CacheModel, FixedPolicy, NullObserver, SimConfig, SimStats, SteeringKind, Topology,
+};
 use clustered_workloads::by_name;
 
 fn run(name: &str, cfg: SimConfig, clusters: usize, instructions: u64) -> SimStats {
     let w = by_name(name).expect("known workload");
     let stream = w.trace().map(|r| r.expect("workload cannot fault"));
-    let mut cpu =
-        Processor::new(cfg, stream, Box::new(FixedPolicy::new(clusters))).expect("valid config");
+    let policy = Box::new(FixedPolicy::new(clusters));
     // Short warm-up, then measure.
-    cpu.run(20_000).expect("no stall");
-    let before = *cpu.stats();
-    cpu.run(instructions).expect("no stall");
-    cpu.stats().delta_since(&before)
+    drive(cfg, stream, policy, SteeringKind::default(), NullObserver, 20_000, instructions)
+        .expect("valid config, no stall")
+        .stats
 }
 
 #[test]

@@ -201,28 +201,13 @@ fn read_varint(bytes: &[u8], off: &mut usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::Rng;
     use clustered_emu::BranchKind;
     use clustered_isa::OpClass;
 
     /// The most bytes one record can take: a full-range address delta
     /// is a 64-bit varint, ten 7-bit groups.
     const MAX_RECORD_BYTES: usize = 10;
-
-    /// xorshift64* — deterministic, dependency-free randomness.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 ^= self.0 >> 12;
-            self.0 ^= self.0 << 25;
-            self.0 ^= self.0 >> 27;
-            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
 
     const KINDS: [BranchKind; 6] = [
         BranchKind::Conditional,
@@ -240,12 +225,12 @@ mod tests {
     /// A random table: a third each plain ops, memrefs and control
     /// transfers.
     fn random_table(rng: &mut Rng) -> Vec<StaticOp> {
-        let n = 1 + rng.below(40) as usize;
+        let n = 1 + rng.index(40);
         (0..n)
             .map(|_| match rng.below(3) {
                 0 => op(None, None),
                 1 => op(Some((8, rng.below(2) == 1)), None),
-                _ => op(None, Some(KINDS[rng.below(6) as usize])),
+                _ => op(None, Some(KINDS[rng.index(6)])),
             })
             .collect()
     }
@@ -271,7 +256,7 @@ mod tests {
     /// transfer to any `u32`.
     fn random_records(rng: &mut Rng, table: &[StaticOp], seen: &mut Seen) -> Vec<Record> {
         let n = table.len() as u32;
-        let want = rng.below(300) as usize;
+        let want = rng.index(300);
         let mut records = Vec::with_capacity(want);
         let mut pc = rng.below(u64::from(n)) as u32;
         let mut addr = 0u64;
@@ -283,7 +268,7 @@ mod tests {
                 addr = match rng.below(8) {
                     0 => 0,
                     1 => u64::MAX,
-                    2 => rng.next(),
+                    2 => rng.next_u64(),
                     3 => prev,
                     _ => prev.wrapping_add(rng.below(256)).wrapping_sub(128),
                 };
@@ -298,7 +283,7 @@ mod tests {
                     0 => 0,
                     1 => pc + 1,
                     2 => pc,
-                    5 => rng.next() as u32,
+                    5 => rng.next_u64() as u32,
                     _ => rng.below(u64::from(n)) as u32,
                 };
                 let next_pc = if taken { target } else { pc + 1 };
@@ -337,7 +322,7 @@ mod tests {
     /// and a cursor copied mid-stream resumes exactly where it was.
     #[test]
     fn random_sequences_round_trip() {
-        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let mut rng = Rng::seeded(0x9e37_79b9_7f4a_7c15);
         let mut seen = Seen::default();
         for case in 0..2_000 {
             let table = random_table(&mut rng);

@@ -8,18 +8,17 @@
 //! ```
 
 use clustered::policies::{FineGrain, IntervalDistantIlp, IntervalExplore};
-use clustered::sim::{FixedPolicy, Processor, ReconfigPolicy, SimConfig};
+use clustered::sim::{drive, FixedPolicy, NullObserver, ReconfigPolicy, SimConfig, SteeringKind};
 use clustered::workloads;
 
 fn run(policy: Box<dyn ReconfigPolicy>) -> Result<(String, f64, f64), Box<dyn std::error::Error>> {
     let w = workloads::by_name("djpeg").expect("djpeg workload exists");
     let name = policy.name();
     let stream = w.trace().map(|r| r.expect("kernel is endless"));
-    let mut cpu = Processor::new(SimConfig::default(), stream, policy)?;
-    cpu.run(50_000)?; // warm up
-    let before = *cpu.stats();
-    cpu.run(300_000)?;
-    let stats = cpu.stats().delta_since(&before);
+    let steering = SteeringKind::default();
+    // Warm up for 50K instructions, then measure 300K.
+    let stats =
+        drive(SimConfig::default(), stream, policy, steering, NullObserver, 50_000, 300_000)?.stats;
     Ok((name, stats.ipc(), stats.avg_active_clusters()))
 }
 

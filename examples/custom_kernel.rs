@@ -8,7 +8,7 @@
 
 use clustered::emu::{trace, Machine};
 use clustered::isa::{assemble, disassemble};
-use clustered::sim::{FixedPolicy, Processor, SimConfig};
+use clustered::sim::{drive, FixedPolicy, NullObserver, SimConfig, SteeringKind};
 
 const SOURCE: &str = r"
 # Dot product with 2-way unrolling: moderate distant ILP.
@@ -68,9 +68,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{:>10} {:>8} {:>12} {:>16}", "clusters", "IPC", "reg xfers", "distant frac");
     for clusters in [1usize, 2, 4, 8, 16] {
         let stream = trace(program.clone()).map(|r| r.expect("well-formed"));
-        let mut cpu =
-            Processor::new(SimConfig::default(), stream, Box::new(FixedPolicy::new(clusters)))?;
-        let stats = cpu.run(200_000)?;
+        let policy = Box::new(FixedPolicy::new(clusters));
+        let steering = SteeringKind::default();
+        let stats =
+            drive(SimConfig::default(), stream, policy, steering, NullObserver, 0, 200_000)?.stats;
         println!(
             "{clusters:>10} {:>8.2} {:>12} {:>16.3}",
             stats.ipc(),

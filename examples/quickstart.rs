@@ -7,7 +7,7 @@
 //! ```
 
 use clustered::policies::IntervalExplore;
-use clustered::sim::{FixedPolicy, Processor, SimConfig};
+use clustered::sim::{drive, FixedPolicy, NullObserver, SimConfig, SteeringKind};
 use clustered::{emu, isa};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -54,8 +54,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("dynamic (interval + exploration)", Box::new(IntervalExplore::default())),
     ] {
         let stream = emu::trace(program.clone()).map(|r| r.expect("program is well-formed"));
-        let mut cpu = Processor::new(SimConfig::default(), stream, policy)?;
-        let stats = cpu.run(400_000)?;
+        let steering = SteeringKind::default();
+        // No warm-up: the whole run (up to 400K instructions) is measured.
+        let stats =
+            drive(SimConfig::default(), stream, policy, steering, NullObserver, 0, 400_000)?.stats;
         println!("{label}:");
         println!("  IPC                {:.3}", stats.ipc());
         println!("  cycles             {}", stats.cycles);

@@ -11,6 +11,16 @@ echo "==> cargo fmt --all --check"
 # so `--all` does not reach it and this gate leaves it as it is.
 cargo fmt --all --check
 
+echo "==> one drive path (no Processor built outside drive)"
+# clustered_sim::drive is the one warm-up -> measure sequence. Only
+# the pipeline module (where drive lives) and benchmark/, which times
+# each step of the sequence on its own, may build a Processor.
+if grep -rn --include='*.rs' --exclude-dir=target --exclude-dir=benchmark \
+    --exclude-dir=pipeline --exclude-dir=.bench_build 'Processor::with_observer(' .; then
+    echo "Processor::with_observer( called outside drive; use clustered_sim::drive" >&2
+    exit 1
+fi
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
@@ -26,10 +36,13 @@ echo "==> schedule oracles under debug assertions"
 # above also covers them — this gate must survive that step ever
 # moving to --release.
 #
-# host_profile runs the cycle loop with and without the host profiler
-# compiled in and requires identical stats, so the one loop body is
-# checked under the same debug assertions in both builds;
-# observer_integration does the same for composed observer pairs.
+# shard_equivalence runs every point of its 360-point grid twice,
+# plain and with the conservation-law auditor attached, so this step
+# also runs the full audit under debug assertions. host_profile runs
+# the cycle loop with and without the host profiler compiled in and
+# requires identical stats, so the one loop body is checked under the
+# same debug assertions in both builds; observer_integration does the
+# same for composed observer pairs.
 cargo test --quiet --test shard_equivalence --test compiled_replay
 cargo test --quiet -p clustered-sim --test host_profile --test observer_integration
 
@@ -124,8 +137,9 @@ test -s "$CI_TMP/host_trace.json"
 grep -q '"sim_cycles_per_sec"' "$CI_TMP/perf.json"
 
 echo "==> conservation-law audit (strict, grid subset)"
-# The full 360-point grid runs under `cargo test --test audit_grid`
-# above; this re-checks a subset through the CLI's `--audit strict`
+# The full 360-point grid runs audited under `cargo test --test
+# shard_equivalence` above; this re-checks a subset through the CLI's
+# `--audit strict`
 # path so the non-zero-exit contract stays wired end to end. The
 # subset spans both cache models and an adaptive + a fixed policy.
 for workload in gzip swim parser; do

@@ -11,7 +11,9 @@
 
 use clustered_core::{IntervalDistantIlp, IntervalExplore};
 use clustered_emu::{DecodedInst, TraceSource};
-use clustered_sim::{CacheModel, FixedPolicy, Processor, ReconfigPolicy, SimConfig};
+use clustered_sim::{
+    drive, CacheModel, FixedPolicy, NullObserver, ReconfigPolicy, SimConfig, SteeringKind,
+};
 use clustered_workloads::CapturedTrace;
 
 const RECORDS: u64 = 5_000;
@@ -109,18 +111,15 @@ fn simulator_stats_identical_on_compiled_and_plain_replay() {
             for (pname, policy) in policies {
                 let mut cfg = SimConfig::default();
                 cfg.cache.model = model;
+                let steering = SteeringKind::default();
                 let live = w.trace().map(Result::unwrap);
-                let mut via_live = Processor::new(cfg, live, policy()).expect("valid config");
-                let mut via_compiled =
-                    Processor::new(cfg, compiled.replay(), policy()).expect("valid config");
-                via_live.run(WARMUP).expect("warmup");
-                via_compiled.run(WARMUP).expect("warmup");
-                let a0 = *via_live.stats();
-                let b0 = *via_compiled.stats();
-                via_live.run(MEASURE).expect("measure");
-                via_compiled.run(MEASURE).expect("measure");
-                let a = via_live.stats().delta_since(&a0);
-                let b = via_compiled.stats().delta_since(&b0);
+                let a = drive(cfg, live, policy(), steering, NullObserver, WARMUP, MEASURE)
+                    .expect("valid config, no stall")
+                    .stats;
+                let replay = compiled.replay();
+                let b = drive(cfg, replay, policy(), steering, NullObserver, WARMUP, MEASURE)
+                    .expect("valid config, no stall")
+                    .stats;
                 assert_eq!(
                     a.to_json().to_string_compact(),
                     b.to_json().to_string_compact(),

@@ -2,7 +2,9 @@
 //! assembler → emulator → workloads → simulator → policies.
 
 use clustered::policies::{FineGrain, IntervalDistantIlp, IntervalExplore};
-use clustered::sim::{CacheModel, FixedPolicy, Processor, ReconfigPolicy, SimConfig, SimStats};
+use clustered::sim::{
+    drive, CacheModel, FixedPolicy, NullObserver, ReconfigPolicy, SimConfig, SimStats, SteeringKind,
+};
 use clustered::{emu, isa, workloads};
 
 fn run_policy_warm(
@@ -14,11 +16,9 @@ fn run_policy_warm(
 ) -> SimStats {
     let w = workloads::by_name(workload).expect("known workload");
     let stream = w.trace().map(|r| r.expect("kernel cannot fault"));
-    let mut cpu = Processor::new(cfg, stream, policy).expect("valid config");
-    cpu.run(warmup).expect("warm-up");
-    let before = *cpu.stats();
-    cpu.run(instructions).expect("no stall");
-    cpu.stats().delta_since(&before)
+    drive(cfg, stream, policy, SteeringKind::default(), NullObserver, warmup, instructions)
+        .expect("valid config, no stall")
+        .stats
 }
 
 fn run_policy(
@@ -35,11 +35,11 @@ fn assembled_program_runs_through_the_whole_stack() {
     let program = isa::assemble("start: li r1, 64\n loop: addi r1, r1, -1\n bnez r1, loop\n halt")
         .expect("valid program");
     let stream = emu::trace(program).map(|r| r.expect("well-formed"));
-    let mut cpu = Processor::new(SimConfig::default(), stream, Box::new(FixedPolicy::new(4)))
-        .expect("valid config");
-    let stats = cpu.run(u64::MAX).expect("no stall");
-    assert_eq!(stats.committed, 129, "li + 64×(addi+bnez)");
-    assert!(cpu.finished());
+    let policy = Box::new(FixedPolicy::new(4));
+    let steering = SteeringKind::default();
+    let run = drive(SimConfig::default(), stream, policy, steering, NullObserver, 0, u64::MAX)
+        .expect("valid config, no stall");
+    assert_eq!(run.stats.committed, 129, "li + 64×(addi+bnez)");
 }
 
 #[test]

@@ -3,17 +3,16 @@
 //! call for.
 
 use clustered::policies::IntervalDistantIlp;
-use clustered::sim::{Processor, ReconfigPolicy, SimConfig, SimStats};
+use clustered::sim::{drive, NullObserver, ReconfigPolicy, SimConfig, SimStats, SteeringKind};
 use clustered::workloads::synthetic::{phased, PhaseKind, PhaseSpec};
 use clustered::workloads::Workload;
 
 fn run(w: &Workload, policy: Box<dyn ReconfigPolicy>, instructions: u64) -> SimStats {
     let stream = w.trace().map(|r| r.expect("synthetic kernel cannot fault"));
-    let mut cpu = Processor::new(SimConfig::default(), stream, policy).expect("valid config");
-    cpu.run(20_000).expect("warm-up");
-    let before = *cpu.stats();
-    cpu.run(instructions).expect("no stall");
-    cpu.stats().delta_since(&before)
+    let steering = SteeringKind::default();
+    drive(SimConfig::default(), stream, policy, steering, NullObserver, 20_000, instructions)
+        .expect("valid config, no stall")
+        .stats
 }
 
 fn cycles_fraction_at(stats: &SimStats, clusters: usize) -> f64 {

@@ -5,7 +5,7 @@
 //! EXPERIMENTS.md together.
 
 use clustered::policies::{chrome_trace, decisions_jsonl, IntervalExplore};
-use clustered::sim::{DecisionTrace, Processor, ReconfigLog, SimConfig, SimStats, SteeringKind};
+use clustered::sim::{drive, DecisionTrace, ReconfigLog, SimConfig, SimStats, SteeringKind};
 use clustered::stats::Json;
 
 /// Every key `SimStats::to_json` must emit, in order.
@@ -117,15 +117,17 @@ fn artifact_envelope_and_provenance_key_sets_are_pinned() {
 fn observed_explore_run_exports_all_three_documents() {
     let workload = clustered::workloads::by_name("gzip").expect("known workload");
     let stream = workload.trace().map(Result::unwrap);
-    let mut cpu = Processor::with_observer(
+    let run = drive(
         SimConfig::default(),
         stream,
         Box::new(IntervalExplore::default()),
         SteeringKind::default(),
         (ReconfigLog::new(), DecisionTrace::new()),
+        0,
+        40_000,
     )
-    .expect("valid config");
-    let stats = cpu.run(40_000).expect("no stall");
+    .expect("valid config, no stall");
+    let stats = run.stats;
 
     // Stats document: parseable, with the pinned key set.
     let stats_doc =
@@ -134,7 +136,7 @@ fn observed_explore_run_exports_all_three_documents() {
 
     // Decision records: one parseable JSON line per interval the
     // explore policy evaluated.
-    let (log, trace) = cpu.observer();
+    let (log, trace) = &run.observer;
     let decisions = trace.decisions();
     assert!(!decisions.is_empty(), "explore decides every interval");
     let jsonl = decisions_jsonl(decisions);

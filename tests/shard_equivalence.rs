@@ -1,14 +1,23 @@
-//! Schedule oracle: restructurings of *how* the simulator computes the
-//! schedule — the event queue's layout, the issue stage's quiescence
-//! skipping, the backend's data structures — must leave measured
-//! [`SimStats`] bit-identical. This suite runs the full workload ×
-//! cluster-count × policy-family × cache-model matrix and pins every
+//! Schedule oracle and conservation-law audit over one matrix.
+//!
+//! Restructurings of *how* the simulator computes the schedule — the
+//! event queue's layout, the issue stage's quiescence skipping, the
+//! backend's data structures — must leave measured [`SimStats`]
+//! bit-identical. This suite runs the full workload × cluster-count ×
+//! policy-family × cache-model matrix (360 points) and pins every
 //! counter against `tests/shard_oracle.json`. Every point replays the
-//! capture's compiled view, the path every CLI verb, experiment and
-//! sweep point runs. The names come from the
-//! oracle's first use: it was captured before the event queue was
-//! split into per-cluster shards, and it pinned both that split and
-//! its later removal (one machine-wide calendar) unchanged.
+//! capture's compiled view through [`drive`], the path every CLI verb,
+//! experiment and sweep point runs. The names come from the oracle's
+//! first use: it was captured before the event queue was split into
+//! per-cluster shards, and it pinned both that split and its later
+//! removal (one machine-wide calendar) unchanged.
+//!
+//! Each point also runs a second time with an [`AuditObserver`]
+//! attached, and must come back clean: the invariants are supposed to
+//! hold on *every* healthy schedule, not just the configurations the
+//! unit tests happen to construct. Auditing only reads machine state,
+//! so the audited run's statistics must equal the plain run's on every
+//! counter.
 //!
 //! The oracle intentionally stores the *serialized* statistics
 //! (`SimStats::to_json`), so the comparison also covers the derived
@@ -25,9 +34,12 @@
 //! ```
 
 use clustered_core::{FineGrain, IntervalDistantIlp, IntervalExplore};
-use clustered_sim::{CacheModel, FixedPolicy, Processor, ReconfigPolicy, SimConfig, SimStats};
+use clustered_sim::{
+    drive, AuditInvariant, AuditObserver, CacheModel, FixedPolicy, NullObserver, ReconfigPolicy,
+    Run, SimConfig, SimObserver, SimStats, SteeringKind,
+};
 use clustered_stats::{json, Json};
-use clustered_workloads::CapturedTrace;
+use clustered_workloads::{CapturedTrace, CompiledTrace};
 use std::path::PathBuf;
 
 /// Warm-up instructions discarded per point.
@@ -78,18 +90,57 @@ fn point(model: CacheModel, family: &str, n: usize) -> (SimConfig, Box<dyn Recon
     (cfg, policy)
 }
 
-fn run_point(trace: &CapturedTrace, cfg: SimConfig, policy: Box<dyn ReconfigPolicy>) -> SimStats {
-    let mut cpu =
-        Processor::new(cfg, trace.compile().replay(), policy).expect("valid matrix config");
-    cpu.run(WARMUP).expect("no stall in warm-up");
-    let before = *cpu.stats();
-    cpu.run(MEASURE).expect("no stall");
-    cpu.stats().delta_since(&before)
+/// One matrix point replayed from `trace` and watched by `observer`.
+fn run_point<O: SimObserver>(
+    trace: &CompiledTrace,
+    (cfg, policy): (SimConfig, Box<dyn ReconfigPolicy>),
+    observer: O,
+) -> Run<O> {
+    let steering = SteeringKind::default();
+    drive(cfg, trace.replay(), policy, steering, observer, WARMUP, MEASURE)
+        .expect("valid matrix config, no stall")
+}
+
+/// `stats` through the same text round-trip the oracle went through,
+/// so float formatting cannot produce spurious mismatches.
+fn as_json(stats: &SimStats) -> Json {
+    json::parse(&stats.to_json().to_string_compact()).expect("SimStats serializes to valid JSON")
+}
+
+/// One matrix point's outcome: the plain run's serialized stats, and
+/// what the audited run found wrong (nothing, on a healthy schedule).
+struct Point {
+    label: String,
+    stats: Json,
+    audit_failures: Vec<String>,
+}
+
+/// Runs one matrix point twice, plain and audited.
+fn run_plain_and_audited(
+    trace: &CompiledTrace,
+    label: String,
+    model: CacheModel,
+    family: &str,
+    n: usize,
+) -> Point {
+    let plain = run_point(trace, point(model, family, n), NullObserver);
+    let audited = run_point(trace, point(model, family, n), AuditObserver::new());
+    let auditor = &audited.observer;
+    let mut audit_failures: Vec<String> =
+        auditor.violations().iter().map(|v| format!("{label}: {v}")).collect();
+    if auditor.checks_run() == 0 {
+        audit_failures.push(format!("{label}: the auditor never ran"));
+    }
+    let stats = as_json(&plain.stats);
+    if as_json(&audited.stats) != stats {
+        audit_failures.push(format!("{label}: audited stats diverge"));
+    }
+    Point { label, stats, audit_failures }
 }
 
 /// Runs the whole matrix, one worker thread per workload, and returns
-/// `(label, serialized stats)` in deterministic matrix order.
-fn run_matrix() -> Vec<(String, Json)> {
+/// the points in deterministic matrix order.
+fn run_matrix() -> Vec<Point> {
     let workloads = clustered_workloads::all();
     let mut out = Vec::new();
     std::thread::scope(|scope| {
@@ -97,24 +148,17 @@ fn run_matrix() -> Vec<(String, Json)> {
             .iter()
             .map(|w| {
                 scope.spawn(move || {
-                    let trace = CapturedTrace::for_window(w, WARMUP, MEASURE);
-                    let mut rows = Vec::new();
+                    let trace = CapturedTrace::for_window(w, WARMUP, MEASURE).compile();
+                    let mut points = Vec::new();
                     for (mname, model) in MODELS {
                         for family in FAMILIES {
                             for n in COUNTS {
-                                let (cfg, policy) = point(model, family, n);
-                                let stats = run_point(&trace, cfg, policy);
-                                // Through the same text round-trip the
-                                // oracle went through, so float
-                                // formatting cannot produce spurious
-                                // mismatches.
-                                let doc = json::parse(&stats.to_json().to_string_compact())
-                                    .expect("SimStats serializes to valid JSON");
-                                rows.push((format!("{}/{mname}/{family}/{n}", w.name()), doc));
+                                let label = format!("{}/{mname}/{family}/{n}", w.name());
+                                points.push(run_plain_and_audited(&trace, label, model, family, n));
                             }
                         }
                     }
-                    rows
+                    points
                 })
             })
             .collect();
@@ -125,12 +169,10 @@ fn run_matrix() -> Vec<(String, Json)> {
     out
 }
 
-fn matrix_to_json(rows: &[(String, Json)]) -> Json {
-    let points: Vec<Json> = rows
+fn matrix_to_json(points: &[Point]) -> Json {
+    let points: Vec<Json> = points
         .iter()
-        .map(|(label, stats)| {
-            Json::object().set("label", label.as_str()).set("stats", stats.clone())
-        })
+        .map(|p| Json::object().set("label", p.label.as_str()).set("stats", p.stats.clone()))
         .collect();
     Json::object()
         .set("version", 1u64)
@@ -139,9 +181,9 @@ fn matrix_to_json(rows: &[(String, Json)]) -> Json {
         .set("points", Json::Arr(points))
 }
 
-/// Captures the oracle. Ignored by default: it exists to be run ONCE,
-/// on the pre-refactor tree, and whenever a deliberate schedule change
-/// needs a new baseline.
+/// Captures the oracle from the plain runs. Ignored by default: it
+/// exists to be run ONCE, on the pre-refactor tree, and whenever a
+/// deliberate schedule change needs a new baseline.
 #[test]
 #[ignore = "rewrites the oracle; run explicitly on a known-good tree"]
 fn regenerate_oracle() {
@@ -149,32 +191,35 @@ fn regenerate_oracle() {
     std::fs::write(oracle_path(), doc.to_string_pretty()).expect("write oracle");
 }
 
-/// The pin: every counter of every matrix point must match the
-/// pre-refactor oracle exactly.
+/// The pin: every counter of every plain matrix point must match the
+/// pre-refactor oracle exactly, and every audited point must be clean
+/// and counter-for-counter equal to its plain run.
 #[test]
 fn stats_bit_identical_to_pre_refactor_oracle() {
     let text = std::fs::read_to_string(oracle_path())
         .expect("tests/shard_oracle.json missing; run `cargo test --test shard_equivalence -- --ignored regenerate_oracle` on a known-good tree");
     let oracle = json::parse(&text).expect("oracle parses");
-    let points = oracle.get("points").and_then(Json::as_arr).expect("oracle has points");
+    let expected = oracle.get("points").and_then(Json::as_arr).expect("oracle has points");
     let fresh = run_matrix();
     assert_eq!(
-        points.len(),
+        expected.len(),
         fresh.len(),
         "matrix shape changed; regenerate the oracle deliberately"
     );
     let mut mismatches = Vec::new();
-    for (expected, (label, got)) in points.iter().zip(&fresh) {
-        let elabel = expected.get("label").and_then(Json::as_str).expect("point label");
+    let mut audit_failures = Vec::new();
+    for (want, got) in expected.iter().zip(&fresh) {
+        let label = &got.label;
+        let elabel = want.get("label").and_then(Json::as_str).expect("point label");
         assert_eq!(elabel, label, "matrix order changed");
-        let estats = expected.get("stats").expect("point stats");
+        let estats = want.get("stats").expect("point stats");
         for key in estats.keys().expect("stats is an object") {
-            let want = estats.get(key);
-            let have = got.get(key);
+            let (want, have) = (estats.get(key), got.stats.get(key));
             if want != have {
                 mismatches.push(format!("{label}: {key}: oracle {want:?} != fresh {have:?}"));
             }
         }
+        audit_failures.extend_from_slice(&got.audit_failures);
     }
     assert!(
         mismatches.is_empty(),
@@ -182,5 +227,26 @@ fn stats_bit_identical_to_pre_refactor_oracle() {
         mismatches.len(),
         fresh.len(),
         mismatches.join("\n")
+    );
+    assert!(audit_failures.is_empty(), "audit failures:\n{}", audit_failures.join("\n"));
+}
+
+/// Fault injection end-to-end: a skewed fetch counter must trip
+/// exactly the fetch-conservation law — on a real schedule, not a
+/// synthetic snapshot — and nothing else.
+#[test]
+fn injected_fetch_skew_is_caught_on_a_real_run() {
+    let w = clustered_workloads::by_name("gzip").expect("gzip exists");
+    let trace = CapturedTrace::for_window(&w, WARMUP, MEASURE).compile();
+    let mut auditor = AuditObserver::new();
+    auditor.inject_fetched_skew(3);
+    let policy = Box::new(FixedPolicy::new(4));
+    let run = run_point(&trace, (SimConfig::default(), policy), auditor);
+    let auditor = run.observer;
+    assert!(!auditor.is_clean(), "the skew must be detected");
+    assert!(
+        auditor.violations().iter().all(|v| v.invariant == AuditInvariant::FetchConservation),
+        "only fetch-conservation may fire: {:?}",
+        auditor.violations()
     );
 }
