@@ -17,7 +17,8 @@
 //! hold on *every* healthy schedule, not just the configurations the
 //! unit tests happen to construct. Auditing only reads machine state,
 //! so the audited run's statistics must equal the plain run's on every
-//! counter.
+//! counter. The matrix runs once per test process; the oracle pin and
+//! the audit check read the same results.
 //!
 //! The oracle intentionally stores the *serialized* statistics
 //! (`SimStats::to_json`), so the comparison also covers the derived
@@ -41,6 +42,7 @@ use clustered_sim::{
 use clustered_stats::{json, Json};
 use clustered_workloads::{CapturedTrace, CompiledTrace};
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 /// Warm-up instructions discarded per point.
 const WARMUP: u64 = 1_000;
@@ -169,6 +171,12 @@ fn run_matrix() -> Vec<Point> {
     out
 }
 
+/// The matrix, run on first use and shared by every test in this file.
+fn matrix() -> &'static [Point] {
+    static MATRIX: OnceLock<Vec<Point>> = OnceLock::new();
+    MATRIX.get_or_init(run_matrix)
+}
+
 fn matrix_to_json(points: &[Point]) -> Json {
     let points: Vec<Json> = points
         .iter()
@@ -187,28 +195,26 @@ fn matrix_to_json(points: &[Point]) -> Json {
 #[test]
 #[ignore = "rewrites the oracle; run explicitly on a known-good tree"]
 fn regenerate_oracle() {
-    let doc = matrix_to_json(&run_matrix());
+    let doc = matrix_to_json(matrix());
     std::fs::write(oracle_path(), doc.to_string_pretty()).expect("write oracle");
 }
 
 /// The pin: every counter of every plain matrix point must match the
-/// pre-refactor oracle exactly, and every audited point must be clean
-/// and counter-for-counter equal to its plain run.
+/// pre-refactor oracle exactly.
 #[test]
 fn stats_bit_identical_to_pre_refactor_oracle() {
     let text = std::fs::read_to_string(oracle_path())
         .expect("tests/shard_oracle.json missing; run `cargo test --test shard_equivalence -- --ignored regenerate_oracle` on a known-good tree");
     let oracle = json::parse(&text).expect("oracle parses");
     let expected = oracle.get("points").and_then(Json::as_arr).expect("oracle has points");
-    let fresh = run_matrix();
+    let fresh = matrix();
     assert_eq!(
         expected.len(),
         fresh.len(),
         "matrix shape changed; regenerate the oracle deliberately"
     );
     let mut mismatches = Vec::new();
-    let mut audit_failures = Vec::new();
-    for (want, got) in expected.iter().zip(&fresh) {
+    for (want, got) in expected.iter().zip(fresh) {
         let label = &got.label;
         let elabel = want.get("label").and_then(Json::as_str).expect("point label");
         assert_eq!(elabel, label, "matrix order changed");
@@ -219,7 +225,6 @@ fn stats_bit_identical_to_pre_refactor_oracle() {
                 mismatches.push(format!("{label}: {key}: oracle {want:?} != fresh {have:?}"));
             }
         }
-        audit_failures.extend_from_slice(&got.audit_failures);
     }
     assert!(
         mismatches.is_empty(),
@@ -228,6 +233,19 @@ fn stats_bit_identical_to_pre_refactor_oracle() {
         fresh.len(),
         mismatches.join("\n")
     );
+}
+
+/// Every audited matrix point must be clean, and counter-for-counter
+/// equal to its plain run.
+#[test]
+fn full_grid_is_audit_clean_and_stats_are_unperturbed() {
+    let points = matrix();
+    assert_eq!(
+        points.len(),
+        MODELS.len() * FAMILIES.len() * COUNTS.len() * clustered_workloads::all().len()
+    );
+    let audit_failures: Vec<&str> =
+        points.iter().flat_map(|p| p.audit_failures.iter().map(String::as_str)).collect();
     assert!(audit_failures.is_empty(), "audit failures:\n{}", audit_failures.join("\n"));
 }
 
